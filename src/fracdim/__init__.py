@@ -25,7 +25,6 @@ from .estimators import (
     internal_scaling_dimension,
     loglog_fit,
     magnitude_dimension,
-    network_ph_dimension,
     ph_dimension,
     power_weighted_sum,
 )

@@ -18,15 +18,14 @@ import time
 
 import numpy as np
 
-from . import estimators, io, magnitude, spaces
+from . import estimators, io, spaces
 from .errors import (
-    DegenerateInputError,
     FracdimError,
-    ParseError,
     ResourceLimitError,
     SingularSimilarityError,
     UndefinedDimensionError,
 )
+from .parallel import parallel_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,6 +38,15 @@ class UsageError(FracdimError):
     pass
 
 
+# first match wins: every other package error, bad value or unreadable file is usage
+_EXIT_CODES = (
+    (UndefinedDimensionError, EXIT_UNDEFINED_DIMENSION),
+    (SingularSimilarityError, EXIT_SINGULAR_SIMILARITY),
+    (ResourceLimitError, EXIT_RESOURCE_LIMIT),
+    ((FracdimError, ValueError, OSError), EXIT_USAGE),
+)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fracdim",
@@ -47,7 +55,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate fixture point clouds and networks")
-    gen.add_argument("kind", choices=["sierpinski-triangle", "cantor", "sierpinski-tree", "line"])
+    gen.add_argument("kind", choices=list(_GENERATORS))
     gen.add_argument("--level", type=int, default=None, help="iteration level (triangle, cantor)")
     gen.add_argument("--levels", type=int, default=None, help="recursion levels (sierpinski-tree)")
     gen.add_argument("--s", type=int, default=3, help="copies per level (sierpinski-tree)")
@@ -56,18 +64,7 @@ def _build_parser():
     gen.add_argument("--out", default=None, help="output path (default: stdout)")
 
     est = sub.add_parser("estimate", help="run one estimator on an input file")
-    est.add_argument(
-        "estimator",
-        choices=[
-            "box",
-            "correlation",
-            "ph-dim",
-            "magnitude-dim",
-            "alpha-magnitude-dim",
-            "internal-scaling",
-            "network-ph-dim",
-        ],
-    )
+    est.add_argument("estimator", choices=list(ESTIMATORS))
     est.add_argument("--input", required=True, help="point CSV or edge-list file")
     est.add_argument("--kind", choices=["cloud", "network"], default=None,
                      help="input kind (default: sniffed from content)")
@@ -89,7 +86,6 @@ def _build_parser():
     est.add_argument("--n-step", type=int, default=5)
     est.add_argument("--repeats", type=int, default=5)
     est.add_argument("--fit-tail", type=int, default=36)
-    est.add_argument("--max-dim", type=int, default=None)
     # magnitude family
     est.add_argument("--t-min", type=float, default=1.0)
     est.add_argument("--t-max", type=float, default=300.0)
@@ -120,34 +116,29 @@ def _write_output(text, out_path):
 # generate
 
 
+# kind -> (required flag, generator)
+_GENERATORS = {
+    "sierpinski-triangle": ("level", lambda a: spaces.sierpinski_triangle(a.level)),
+    "cantor": ("level", lambda a: spaces.cantor_set(a.level)),
+    "sierpinski-tree": ("levels", lambda a: spaces.sierpinski_tree(
+        spaces.SierpinskiTreeParams(s=a.s, f=a.f, levels=a.levels))),
+    "line": ("n", lambda a: spaces.line_network(a.n)),
+}
+
+
 def _cmd_generate(args):
-    if args.kind == "sierpinski-triangle":
-        if args.level is None:
-            raise UsageError("sierpinski-triangle requires --level")
-        cloud = spaces.sierpinski_triangle(args.level)
-        _write_output(io.dumps_pointcloud(cloud), args.out)
-        print(f"{cloud.n} points, dim {cloud.dim}", file=sys.stderr)
-    elif args.kind == "cantor":
-        if args.level is None:
-            raise UsageError("cantor requires --level")
-        cloud = spaces.cantor_set(args.level)
-        _write_output(io.dumps_pointcloud(cloud), args.out)
-        print(f"{cloud.n} points, dim {cloud.dim}", file=sys.stderr)
-    elif args.kind == "sierpinski-tree":
-        if args.levels is None:
-            raise UsageError("sierpinski-tree requires --levels")
-        params = spaces.SierpinskiTreeParams(s=args.s, f=args.f, levels=args.levels)
-        net = spaces.sierpinski_tree(params)
-        _write_output(io.dumps_network(net), args.out)
-        print(f"{net.node_count} nodes, {net.edge_count} edges", file=sys.stderr)
-    else:
-        if args.n is None:
-            raise UsageError("line requires --n")
-        net = spaces.line_network(args.n)
-        _write_output(io.dumps_network(net), args.out)
-        if net.node_count == 1:
-            print("warning: single node, empty edge list", file=sys.stderr)
-        print(f"{net.node_count} nodes, {net.edge_count} edges", file=sys.stderr)
+    flag, generate = _GENERATORS[args.kind]
+    if getattr(args, flag) is None:
+        raise UsageError(f"{args.kind} requires --{flag}")
+    space = generate(args)
+    if isinstance(space, spaces.PointCloud):
+        _write_output(io.dumps_pointcloud(space), args.out)
+        print(f"{space.n} points, dim {space.dim}", file=sys.stderr)
+        return EXIT_OK
+    _write_output(io.dumps_network(space), args.out)
+    if space.node_count == 1:
+        print("warning: single node, empty edge list", file=sys.stderr)
+    print(f"{space.node_count} nodes, {space.edge_count} edges", file=sys.stderr)
     return EXIT_OK
 
 
@@ -167,18 +158,14 @@ def _sniff_kind(path):
     return "cloud"
 
 
-_COMPAT = {
-    "box": ("cloud", "network"),
-    "correlation": ("cloud",),
-    "ph-dim": ("cloud",),
-    "magnitude-dim": ("cloud", "network"),
-    "alpha-magnitude-dim": ("cloud",),
-    "internal-scaling": ("network",),
-    "network-ph-dim": ("network",),
-}
+# Argument helpers and runners for the one table of estimators. Each
+# runner looks its estimator up on the `estimators` module at call time,
+# so a wrapper installed there sees the call.
 
 
-def _eps_grid_from_args(args, decreasing):
+def _eps_grid(args, decreasing):
+    if args.eps_count < 2:
+        raise UsageError("--eps-count must be at least 2")
     if args.eps_min is None or args.eps_max is None:
         return None
     grid = np.geomspace(args.eps_min, args.eps_max, args.eps_count)
@@ -186,7 +173,7 @@ def _eps_grid_from_args(args, decreasing):
     return [float(g) for g in grid]
 
 
-def _window_from_args(args):
+def _window(args):
     if args.fit_lo is None and args.fit_hi is None:
         return None
     if args.fit_lo is None or args.fit_hi is None:
@@ -194,12 +181,23 @@ def _window_from_args(args):
     return (args.fit_lo, args.fit_hi)
 
 
-def _t_grid_from_args(args):
+def _t_grid_and_window(args):
+    """Scale grid from --t-min/--t-max/--t-step; window (40, 80) on grids of 80 or more."""
+    if not args.t_step > 0:
+        raise UsageError("--t-step must be positive")
+    if args.t_max < args.t_min:
+        raise UsageError("--t-max must not lie below --t-min")
     count = int(round((args.t_max - args.t_min) / args.t_step)) + 1
-    return [args.t_min + k * args.t_step for k in range(count)]
+    t_grid = [args.t_min + k * args.t_step for k in range(count)]
+    window = _window(args)
+    if window is None and len(t_grid) >= 80:
+        window = (40, 80)
+    return t_grid, window
 
 
-def _ph_config_from_args(args):
+def _ph_config(args):
+    if args.n_step < 1:
+        raise UsageError("--n-step must be positive")
     schedule = tuple(range(args.n_min, args.n_max + 1, args.n_step))
     return estimators.PHDimensionConfig(
         degree=args.degree,
@@ -211,63 +209,64 @@ def _ph_config_from_args(args):
     )
 
 
+def _run_box(args, space):
+    box = (
+        estimators.box_counting_pointcloud if isinstance(space, spaces.PointCloud)
+        else estimators.box_counting_network
+    )
+    return box(space, _eps_grid(args, decreasing=True), _window(args))
+
+
+def _run_correlation(args, cloud):
+    grid = _eps_grid(args, decreasing=False)
+    return estimators.correlation_dimension(cloud, grid, _window(args))
+
+
+def _run_ph(args, cloud):
+    return estimators.ph_dimension(cloud, _ph_config(args), args.threads)
+
+
+def _run_magnitude(args, space):
+    metric = (
+        spaces.euclidean_metric(space) if isinstance(space, spaces.PointCloud)
+        else spaces.shortest_path_metric(space)
+    )
+    return estimators.magnitude_dimension(metric, *_t_grid_and_window(args), args.threads)
+
+
+def _run_alpha_magnitude(args, cloud):
+    return estimators.alpha_magnitude_dimension(cloud, *_t_grid_and_window(args), args.max_degree)
+
+
+def _run_internal_scaling(args, net):
+    node = None if args.node == "all" else int(args.node)
+    return estimators.internal_scaling_dimension(
+        net, node, _eps_grid(args, decreasing=False), _window(args)
+    )
+
+
+# name -> (accepted input kinds, runner(args, space) -> DimensionEstimate)
+ESTIMATORS = {
+    "box": (("cloud", "network"), _run_box),
+    "correlation": (("cloud",), _run_correlation),
+    "ph-dim": (("cloud",), _run_ph),
+    "magnitude-dim": (("cloud", "network"), _run_magnitude),
+    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude),
+    "internal-scaling": (("network",), _run_internal_scaling),
+}
+
+
 def _cmd_estimate(args):
     kind = args.kind or _sniff_kind(args.input)
-    allowed = _COMPAT[args.estimator]
-    if kind not in allowed:
+    kinds, runner = ESTIMATORS[args.estimator]
+    if kind not in kinds:
         raise UsageError(
             f"estimator {args.estimator!r} does not accept {kind} input; "
             f"valid pairs: "
-            + ", ".join(f"{e}<-{'|'.join(k)}" for e, k in sorted(_COMPAT.items()))
+            + ", ".join(f"{e}<-{'|'.join(k)}" for e, (k, _) in sorted(ESTIMATORS.items()))
         )
-
-    cloud = net = None
-    if kind == "cloud":
-        cloud = io.load_pointcloud(args.input)
-    else:
-        net = io.load_network(args.input)
-
-    window = _window_from_args(args)
-    if args.estimator == "box":
-        if kind == "cloud":
-            result = estimators.box_counting_pointcloud(
-                cloud, _eps_grid_from_args(args, decreasing=True), window
-            )
-        else:
-            result = estimators.box_counting_network(
-                net, _eps_grid_from_args(args, decreasing=True), window
-            )
-    elif args.estimator == "correlation":
-        result = estimators.correlation_dimension(
-            cloud, _eps_grid_from_args(args, decreasing=False), window
-        )
-    elif args.estimator == "ph-dim":
-        result = estimators.ph_dimension(cloud, _ph_config_from_args(args), args.threads)
-    elif args.estimator == "magnitude-dim":
-        metric = (
-            spaces.euclidean_metric(cloud) if cloud is not None
-            else spaces.shortest_path_metric(net)
-        )
-        t_grid = _t_grid_from_args(args)
-        if window is None and len(t_grid) >= 80:
-            window = (40, 80)
-        result = estimators.magnitude_dimension(metric, t_grid, window, args.threads)
-    elif args.estimator == "alpha-magnitude-dim":
-        t_grid = _t_grid_from_args(args)
-        if window is None and len(t_grid) >= 80:
-            window = (40, 80)
-        result = estimators.alpha_magnitude_dimension(
-            cloud, t_grid, window, args.max_degree
-        )
-    elif args.estimator == "internal-scaling":
-        node = None if args.node == "all" else int(args.node)
-        result = estimators.internal_scaling_dimension(
-            net, node, _eps_grid_from_args(args, decreasing=False), window
-        )
-    else:
-        result = estimators.network_ph_dimension(
-            net, _ph_config_from_args(args), args.max_dim, args.threads
-        )
+    space = io.load_pointcloud(args.input) if kind == "cloud" else io.load_network(args.input)
+    result = runner(args, space)
 
     record = result.to_json_dict()
     record["params"]["input"] = args.input
@@ -293,90 +292,40 @@ LOG3_OVER_LOG2 = math.log(3.0) / math.log(2.0)
 LOG2_OVER_LOG3 = math.log(2.0) / math.log(3.0)
 
 
-def _uniform_square(n, seed):
-    rng = np.random.default_rng(seed)
-    return spaces.PointCloud(rng.random((n, 2)))
-
-
-def _uniform_interval(n, seed):
-    rng = np.random.default_rng(seed)
-    return spaces.PointCloud(rng.random((n, 1)))
+def _uniform_cloud(n, dim, seed):
+    return spaces.PointCloud(np.random.default_rng(seed).random((n, dim)))
 
 
 def _classic_cells(seed):
-    """Suite definition: (space name, estimator tag, reference, runner)."""
-    sierp = spaces.sierpinski_triangle(7)
-    cantor = spaces.cantor_set(10)
-    square = _uniform_square(4096, spaces.derive_seed(seed, 101))
-    interval = _uniform_interval(2048, spaces.derive_seed(seed, 102))
-    tree = spaces.sierpinski_tree(spaces.SierpinskiTreeParams(s=3, f=0.5, levels=6))
-    line = spaces.line_network(2001)
+    """Suite definition: (space name, record tag, reference, estimator, space, overrides).
 
-    clouds = [
-        ("sierpinski-7", sierp, LOG3_OVER_LOG2),
-        ("cantor-10", cantor, LOG2_OVER_LOG3),
-        ("uniform-square", square, 2.0),
-        ("uniform-interval", interval, 1.0),
-    ]
-    nets = [
-        ("sierpinski-tree-6", tree, LOG3_OVER_LOG2),
-        ("line-2001", line, 1.0),
-    ]
-
-    def ph_cfg():
-        return estimators.PHDimensionConfig(seed=seed)
-
+    Each cell runs its `ESTIMATORS` entry with the `estimate` defaults
+    updated by its overrides.
+    """
+    sub_seed = spaces.derive_seed(seed, 103)
+    tree = spaces.SierpinskiTreeParams(s=3, f=0.5, levels=6)
     cells = []
-    for name, cloud, ref in clouds:
-        cells.append((name, "box", ref, lambda c=cloud: estimators.box_counting_pointcloud(c)))
-        cells.append(
-            (name, "correlation", ref, lambda c=cloud: estimators.correlation_dimension(c))
-        )
-        cells.append(
-            (name, "ph-dim", ref, lambda c=cloud: estimators.ph_dimension(c, ph_cfg()))
-        )
-
-        def run_mag(c=cloud):
-            sub = (
-                spaces.subsample(c, 1000, spaces.derive_seed(seed, 103))
-                if c.n > 1000
-                else c
-            )
-            return estimators.magnitude_dimension(
-                spaces.euclidean_metric(sub),
-                [float(t) for t in range(1, 101)],
-                (40, 80),
-            )
-
-        cells.append((name, "magnitude-dim", ref, run_mag))
-        cells.append(
-            (
-                name,
-                "alpha-magnitude-dim",
-                ref,
-                lambda c=cloud: estimators.alpha_magnitude_dimension(c),
-            )
-        )
-    for name, net, ref in nets:
-        cells.append(
-            (name, "network-box", ref, lambda n=net: estimators.box_counting_network(n))
-        )
-        cells.append(
-            (
-                name,
-                "internal-scaling",
-                ref,
-                lambda n=net: estimators.internal_scaling_dimension(n),
-            )
-        )
-        cells.append(
-            (
-                name,
-                "network-ph-dim",
-                None,
-                lambda n=net: estimators.network_ph_dimension(n, ph_cfg()),
-            )
-        )
+    for name, cloud, ref in (
+        ("sierpinski-7", spaces.sierpinski_triangle(7), LOG3_OVER_LOG2),
+        ("cantor-10", spaces.cantor_set(10), LOG2_OVER_LOG3),
+        ("uniform-square", _uniform_cloud(4096, 2, spaces.derive_seed(seed, 101)), 2.0),
+        ("uniform-interval", _uniform_cloud(2048, 1, spaces.derive_seed(seed, 102)), 1.0),
+    ):
+        # magnitude reads a seeded 1000-point subsample over t = 1..100
+        sub = cloud if cloud.n <= 1000 else spaces.subsample(cloud, 1000, sub_seed)
+        cells += [(name, tag, ref, tag, cloud, {}) for tag in ("box", "correlation", "ph-dim")]
+        cells += [
+            (name, "magnitude-dim", ref, "magnitude-dim", sub, {"t_max": 100.0}),
+            (name, "alpha-magnitude-dim", ref, "alpha-magnitude-dim", cloud, {}),
+        ]
+    for name, net, ref in (
+        ("sierpinski-tree-6", spaces.sierpinski_tree(tree), LOG3_OVER_LOG2),
+        ("line-2001", spaces.line_network(2001), 1.0),
+    ):
+        cells += [
+            (name, "network-box", ref, "box", net, {}),
+            (name, "internal-scaling", ref, "internal-scaling", net, {}),
+        ]
     return cells
 
 
@@ -385,12 +334,14 @@ def run_bench(suite="classic", seed=42, threads=None):
     if suite != "classic":
         raise UsageError(f"unknown suite {suite!r}")
     cells = _classic_cells(seed)
+    defaults = vars(_build_parser().parse_args(["estimate", "box", "--input", ""]))
+    defaults.update(seed=seed)
 
     def run_cell(cell):
-        space, tag, ref, runner = cell
+        space_name, tag, ref, estimator, space, overrides = cell
         start = time.perf_counter()
         record = {
-            "space": space,
+            "space": space_name,
             "estimator": tag,
             "status": "ok",
             "value": None,
@@ -401,7 +352,8 @@ def run_bench(suite="classic", seed=42, threads=None):
             "error": None,
         }
         try:
-            est = runner()
+            args = argparse.Namespace(**{**defaults, **overrides})
+            est = ESTIMATORS[estimator][1](args, space)
             record["value"] = est.value
             record["warnings"] = list(est.warnings)
             if ref is not None:
@@ -414,8 +366,6 @@ def run_bench(suite="classic", seed=42, threads=None):
             record["error"] = f"ValueError: {exc}"
         record["wall_time_s"] = time.perf_counter() - start
         return record
-
-    from .parallel import parallel_map
 
     return parallel_map(run_cell, cells, threads)
 
@@ -435,20 +385,18 @@ def _format_bench_text(records):
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(value):
+    return "" if value is None else value if isinstance(value, str) else repr(value)
+
+
 def _cmd_bench(args):
     records = run_bench(args.suite, args.seed, args.threads)
     if args.format == "json":
         _write_output(json.dumps(records, indent=2) + "\n", args.out)
     elif args.format == "csv":
-        rows = ["space,estimator,status,value,reference,deviation,wall_time_s"]
-        for r in records:
-            rows.append(
-                f"{r['space']},{r['estimator']},{r['status']},"
-                f"{'' if r['value'] is None else repr(r['value'])},"
-                f"{'' if r['reference'] is None else repr(r['reference'])},"
-                f"{'' if r['deviation'] is None else repr(r['deviation'])},"
-                f"{r['wall_time_s']!r}"
-            )
+        keys = ("space", "estimator", "status", "value", "reference", "deviation", "wall_time_s")
+        rows = [",".join(keys)]
+        rows += [",".join(_csv_cell(r[k]) for k in keys) for r in records]
         _write_output("\n".join(rows) + "\n", args.out)
     else:
         sys.stdout.write(_format_bench_text(records))
@@ -467,18 +415,9 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_bench(args)
-    except (UsageError, ParseError, DegenerateInputError, ValueError) as exc:
+    except (FracdimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UndefinedDimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNDEFINED_DIMENSION
-    except SingularSimilarityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR_SIMILARITY
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def entrypoint():

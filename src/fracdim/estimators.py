@@ -19,7 +19,7 @@ from .errors import (
     SingularSimilarityError,
     UndefinedDimensionError,
 )
-from .filtration import alpha_complex_2d, vietoris_rips, weight_rank_clique
+from .filtration import alpha_complex_2d, vietoris_rips
 from .magnitude import magnitude_function, persistent_magnitude, rescale_barcode
 from .parallel import parallel_map
 from .persistence import h0_union_find, persistence
@@ -30,6 +30,7 @@ from .spaces import (
     derive_seed,
     diameter,
     euclidean_metric,
+    scale_grid,
     shortest_path_metric,
     subsample,
 )
@@ -130,11 +131,7 @@ def box_counting_pointcloud(cloud: PointCloud, eps_grid=None, window=None) -> Di
         raise DegenerateInputError("all points identical; box counting undefined")
     if eps_grid is None:
         eps_grid = _geometric_grid(extent / 2.0, extent / 64.0)
-    eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps grid must be positive")
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps grid must be strictly decreasing")
+    eps_grid = scale_grid(eps_grid, "eps", increasing=False)
     counts = [grid_box_count(cloud, e) for e in eps_grid]
     inv_eps = [1.0 / e for e in eps_grid]
     fit = loglog_fit(inv_eps, counts, window)
@@ -217,9 +214,7 @@ def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> Di
         raise ValueError("connected network required")
     if eps_grid is None:
         eps_grid = _geometric_grid(diam, net.min_weight())
-    eps_grid = [float(e) for e in eps_grid]
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps grid must be strictly decreasing")
+    eps_grid = scale_grid(eps_grid, "eps", increasing=False)
     counts = [len(greedy_cover(net, e)) for e in eps_grid]
     inv_eps = [1.0 / e for e in eps_grid]
     fit = loglog_fit(inv_eps, counts, window)
@@ -267,11 +262,7 @@ def correlation_dimension(cloud: PointCloud, eps_grid=None, window=None) -> Dime
         positive = d[d > 0]
         lo = max(float(np.min(positive)), d_max / 48.0)
         eps_grid = _geometric_grid(max(d_max / 6.0, lo * 2.0), lo, decreasing=False)
-    eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps grid must be positive")
-    if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps grid must be strictly increasing")
+    eps_grid = scale_grid(eps_grid, "eps")
     c = pair_correlation(cloud, eps_grid)
     if any(v == 0.0 for v in c):
         raise ValueError("eps grid extends below the smallest pairwise distance")
@@ -339,33 +330,6 @@ def power_weighted_sum(barcode, alpha: float) -> float:
     return float(sum(iv.length**alpha for iv in barcode.finite_intervals()))
 
 
-def _ph_regression(estimator, cfg, means, extra_params, extra_warnings=()):
-    schedule = list(cfg.n_schedule)
-    lo = len(schedule) - cfg.fit_tail
-    if any(e <= 0 for e in means[lo:]):
-        raise UndefinedDimensionError(
-            "power-weighted sums vanish inside the fit window; dimension undefined"
-        )
-    fit = loglog_fit(schedule[lo:], means[lo:])
-    beta = fit.slope
-    if beta >= 1.0:
-        raise UndefinedDimensionError(
-            f"growth exponent beta={beta:.4f} >= 1; dimension alpha/(1-beta) undefined",
-            beta=beta,
-        )
-    value = cfg.alpha / (1.0 - beta)
-    params = {**cfg.to_params(), **extra_params, "window": [lo, len(schedule)]}
-    warnings = tuple(extra_warnings) + _fit_warnings(fit)
-    return DimensionEstimate(
-        estimator,
-        value,
-        fit,
-        tuple(zip([float(n) for n in schedule], means)),
-        params,
-        warnings,
-    )
-
-
 def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig, threads=None) -> DimensionEstimate:
     """PH dimension alpha/(1-beta) from power-weighted barcode sums of subsamples.
 
@@ -394,62 +358,27 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig, threads=None) -> Dim
         float(np.mean(sums[i : i + cfg.repeats]))
         for i in range(0, len(sums), cfg.repeats)
     ]
-    return _ph_regression("ph-dim", cfg, means, {"input_points": cloud.n})
-
-
-def induced_subnetwork(net: WeightedNetwork, nodes) -> WeightedNetwork:
-    """Subnetwork on the given nodes (relabelled by sorted order) and the edges between them."""
-    nodes = sorted(set(int(v) for v in nodes))
-    relabel = {v: i for i, v in enumerate(nodes)}
-    keep = set(nodes)
-    edges = tuple(
-        (relabel[u], relabel[v], w) for u, v, w in net.edges if u in keep and v in keep
-    )
-    return WeightedNetwork(len(nodes), edges)
-
-
-def network_ph_dimension(
-    net: WeightedNetwork, cfg: PHDimensionConfig, max_dim=None, threads=None
-) -> DimensionEstimate:
-    """PH dimension over node subsamples via weight-rank clique filtrations.
-
-    Experimental: uniform node sampling, induced subnetworks (which may
-    be disconnected; the resulting extra infinite degree-0 bars do not
-    enter the power-weighted sums).
-    """
-    metric = shortest_path_metric(net)
-    if not math.isfinite(diameter(metric)):
-        raise ValueError("connected network required")
-    if max_dim is None:
-        max_dim = cfg.degree + 1
-    if max_dim < cfg.degree + 1:
-        raise ValueError("max_dim must be at least degree + 1 for death-completeness")
-    if cfg.n_schedule[-1] > net.node_count:
-        raise ValueError(
-            f"largest subsample {cfg.n_schedule[-1]} exceeds node count {net.node_count}"
+    schedule = list(cfg.n_schedule)
+    lo = len(schedule) - cfg.fit_tail
+    if any(e <= 0 for e in means[lo:]):
+        raise UndefinedDimensionError(
+            "power-weighted sums vanish inside the fit window; dimension undefined"
         )
-
-    def task(nr):
-        n, r = nr
-        rng = np.random.default_rng(derive_seed(cfg.seed, n, r))
-        nodes = rng.choice(net.node_count, size=n, replace=False)
-        sub = induced_subnetwork(net, nodes)
-        complex = weight_rank_clique(sub, min(max_dim, max(n - 1, 0)))
-        bc = persistence(complex, cfg.degree)[cfg.degree]
-        return power_weighted_sum(bc, cfg.alpha)
-
-    tasks = [(n, r) for n in cfg.n_schedule for r in range(cfg.repeats)]
-    sums = parallel_map(task, tasks, threads)
-    means = [
-        float(np.mean(sums[i : i + cfg.repeats]))
-        for i in range(0, len(sums), cfg.repeats)
-    ]
-    return _ph_regression(
-        "network-ph-dim",
-        cfg,
-        means,
-        {"max_dim": max_dim, "experimental": True, "n_nodes": net.node_count},
-        ("experimental estimator: no established ground truth",),
+    fit = loglog_fit(schedule[lo:], means[lo:])
+    beta = fit.slope
+    if beta >= 1.0:
+        raise UndefinedDimensionError(
+            f"growth exponent beta={beta:.4f} >= 1; dimension alpha/(1-beta) undefined",
+            beta=beta,
+        )
+    params = {**cfg.to_params(), "input_points": cloud.n, "window": [lo, len(schedule)]}
+    return DimensionEstimate(
+        "ph-dim",
+        cfg.alpha / (1.0 - beta),
+        fit,
+        tuple(zip([float(n) for n in schedule], means)),
+        params,
+        _fit_warnings(fit),
     )
 
 
@@ -503,11 +432,7 @@ def alpha_magnitude_dimension(
         t_grid = [float(t) for t in range(1, 301)]
         if window is None:
             window = (40, 80)
-    t_grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in t_grid):
-        raise ValueError("t grid must be positive")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t grid must be strictly increasing")
+    t_grid = scale_grid(t_grid, "t")
     complex = alpha_complex_2d(cloud)
     barcodes = persistence(complex, max_degree)
     values = [
@@ -569,11 +494,7 @@ def internal_scaling_dimension(
         if window is None and len(eps_grid) >= 6:
             # the definition is an eps -> infinity limit: read the top half
             window = (len(eps_grid) // 2, len(eps_grid))
-    eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0 for e in eps_grid):
-        raise ValueError("eps grid must be positive")
-    if any(b <= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise ValueError("eps grid must be strictly increasing")
+    eps_grid = scale_grid(eps_grid, "eps")
 
     sorted_rows = np.sort(metric.dist, axis=1)
     counts = np.stack(

@@ -248,9 +248,7 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
         for edge, opposite in (((i, j), k), ((i, k), j), ((j, k), i)):
             edge_cofaces.setdefault(edge, []).append(opposite)
 
-    sims = [Simplex((i,), 0.0) for i in range(cloud.n)]
-    for (i, j, k), radius in tri_value.items():
-        sims.append(Simplex((i, j, k), radius))
+    edge_value = {}
     for (a, b), opposites in edge_cofaces.items():
         mid = (pts[a] + pts[b]) / 2.0
         r = float(np.hypot(*(pts[a] - pts[b]))) / 2.0
@@ -260,5 +258,14 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
         candidates = [tri_value[tuple(sorted((a, b, w)))] for w in opposites]
         if gabriel:
             candidates.append(r)
-        sims.append(Simplex((a, b), min(candidates)))
+        value = min(candidates)
+        # only zero-area (collinear) cofaces: Qhull slivers along the hull
+        edge_value[(a, b)] = value if math.isfinite(value) else r
+
+    sims = [Simplex((i,), 0.0) for i in range(cloud.n)]
+    for (i, j, k), radius in tri_value.items():
+        if not math.isfinite(radius):  # zero area: enters with its last edge
+            radius = max(edge_value[(i, j)], edge_value[(i, k)], edge_value[(j, k)])
+        sims.append(Simplex((i, j, k), radius))
+    sims.extend(Simplex(edge, value) for edge, value in edge_value.items())
     return FilteredComplex(tuple(sims), 2, "alpha")

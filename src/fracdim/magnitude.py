@@ -17,7 +17,7 @@ from .errors import SingularSimilarityError
 from .filtration import alpha_complex_2d, vietoris_rips
 from .parallel import parallel_map
 from .persistence import Barcode, Interval, persistence
-from .spaces import MetricView, PointCloud, rescale
+from .spaces import MetricView, PointCloud, rescale, scale_grid
 
 RESIDUAL_TOL = 1e-8
 
@@ -92,11 +92,7 @@ class MagnitudeFunctionSamples:
 
 def magnitude_function(metric: MetricView, t_grid, threads=None) -> MagnitudeFunctionSamples:
     """Magnitude of the rescaled space per grid entry; failures flagged, not raised."""
-    t_grid = [float(t) for t in t_grid]
-    if any(t <= 0 for t in t_grid):
-        raise ValueError("t grid must be positive")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t grid must be strictly increasing")
+    t_grid = scale_grid(t_grid, "t")
     if metric.size and not np.all(np.isfinite(metric.dist)):
         raise ValueError("magnitude requires all distances finite")
 

@@ -1,8 +1,7 @@
 """Persistence barcodes of filtered complexes.
 
 Boundary-matrix reduction over the 2-element field with the clearing
-(twist) optimisation; a plain left-to-right reduction kept behind a flag
-as a second route, and a union-find fast path for degree 0.
+(twist) optimisation, and a union-find fast path for degree 0.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ def _xor_columns(a, b):
     return out
 
 
-def persistence(complex: FilteredComplex, max_degree: int, clearing: bool = True) -> list:
+def persistence(complex: FilteredComplex, max_degree: int) -> list:
     """Barcodes in degrees 0..max_degree, coefficients in the 2-element field.
 
     Zero-length intervals are discarded. Deterministic given the
@@ -118,20 +117,16 @@ def persistence(complex: FilteredComplex, max_degree: int, clearing: bool = True
         zero_cols.add(j)
         return None
 
-    if clearing:
-        cleared = set()
-        top = max(dims, default=0)
-        for d in range(top, 0, -1):
-            for j in range(len(sims)):
-                if dims[j] != d or j in cleared:
-                    continue
-                low = reduce_column(j)
-                if low is not None:
-                    cleared.add(low)
-        zero_cols.update(j for j in range(len(sims)) if dims[j] == 0)
-    else:
+    # clearing: top dimension first; a column whose index is a pivot row reduces to zero
+    cleared = set()
+    for d in range(max(dims, default=0), 0, -1):
         for j in range(len(sims)):
-            reduce_column(j)
+            if dims[j] != d or j in cleared:
+                continue
+            low = reduce_column(j)
+            if low is not None:
+                cleared.add(low)
+    zero_cols.update(j for j in range(len(sims)) if dims[j] == 0)
 
     intervals = {d: [] for d in range(max_degree + 1)}
     for i, j in pairs.items():

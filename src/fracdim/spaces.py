@@ -280,6 +280,18 @@ def rescale(metric: MetricView, t: float) -> MetricView:
     return MetricView(metric.dist * t, scale=metric.scale * t)
 
 
+def scale_grid(grid, name: str, increasing: bool = True) -> list:
+    """Grid as floats; raises unless every entry is positive and the order is strict."""
+    grid = [float(g) for g in grid]
+    if any(g <= 0 for g in grid):
+        raise ValueError(f"{name} grid must be positive")
+    pairs = zip(grid, grid[1:])
+    if any(b <= a for a, b in pairs) if increasing else any(b >= a for a, b in pairs):
+        order = "increasing" if increasing else "decreasing"
+        raise ValueError(f"{name} grid must be strictly {order}")
+    return grid
+
+
 def diameter(metric: MetricView) -> float:
     """Largest distance; inf if any pair is disconnected."""
     if metric.size <= 1:

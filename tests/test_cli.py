@@ -10,7 +10,7 @@ from fracdim import (
     sierpinski_triangle,
     subsample,
 )
-from fracdim.cli import main, run_bench
+from fracdim.cli import ESTIMATORS, main, run_bench
 from fracdim.io import load_network, load_pointcloud, save_network, save_pointcloud
 
 
@@ -169,19 +169,19 @@ class TestEstimate:
         assert "bad.csv:2" in err
 
     def test_undefined_dimension_exit3(self, tmp_path, capsys):
-        path = tmp_path / "line.edges"
-        save_network(
-            sierpinski_tree(SierpinskiTreeParams(3, 0.5, 5)), path
-        )
+        # degree-1 sums of small uniform samples grow with beta near 1.44
+        path = tmp_path / "uniform.csv"
+        save_pointcloud(PointCloud(np.random.default_rng(0).random((60, 2))), path)
         code, _, err = run_cli(
             [
-                "estimate", "network-ph-dim", "--input", str(path),
-                "--degree", "1", "--max-dim", "2",
-                "--n-min", "5", "--n-max", "100", "--n-step", "5", "--fit-tail", "10",
+                "estimate", "ph-dim", "--input", str(path),
+                "--degree", "1",
+                "--n-min", "5", "--n-max", "40", "--n-step", "5", "--fit-tail", "6",
             ],
             capsys,
         )
         assert code == 3
+        assert "beta=" in err
 
     def test_singular_similarity_exit4(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -223,10 +223,62 @@ class TestEstimate:
         assert lines[0].startswith("estimator,value,slope")
         assert lines[1].startswith("box,")
 
+    @pytest.mark.parametrize(
+        "estimator, flags, message",
+        [
+            ("magnitude-dim", ["--t-step", "0"], "--t-step must be positive"),
+            ("alpha-magnitude-dim", ["--t-step", "0"], "--t-step must be positive"),
+            ("ph-dim", ["--n-step", "0"], "--n-step must be positive"),
+            ("box", ["--eps-min", "0.01", "--eps-max", "0.5", "--eps-count", "0"],
+             "--eps-count must be at least 2"),
+            ("box", ["--input", "missing.csv"], "No such file"),
+            ("box", ["--input", "."], "directory"),
+        ],
+        ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory"],
+    )
+    def test_bad_argument_or_input_exit2(
+        self, tmp_path, capsys, monkeypatch, estimator, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_pointcloud(sierpinski_triangle(4), tmp_path / "s.csv")
+        code, out, err = run_cli(["estimate", estimator, "--input", "s.csv", *flags], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert message in err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "box", "--input", "x.csv", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+# extra flags that keep each estimator fast and defined on the tiny fixtures
+SMOKE_FLAGS = {
+    "ph-dim": ["--n-min", "5", "--n-max", "80", "--n-step", "5", "--fit-tail", "10"],
+    "magnitude-dim": ["--t-max", "100"],
+    "alpha-magnitude-dim": ["--t-max", "100"],
+}
+
+
+@pytest.mark.parametrize(
+    "estimator, kind",
+    [(name, kind) for name, (kinds, _) in ESTIMATORS.items() for kind in kinds],
+)
+def test_every_table_entry_runs_on_each_accepted_kind(tmp_path, capsys, estimator, kind):
+    if kind == "cloud":
+        path = tmp_path / "sierpinski-4.csv"
+        save_pointcloud(sierpinski_triangle(4), path)
+    else:
+        path = tmp_path / "tree-3.edges"
+        save_network(sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3)), path)
+    code, out, err = run_cli(
+        ["estimate", estimator, "--input", str(path), *SMOKE_FLAGS.get(estimator, [])],
+        capsys,
+    )
+    assert code == 0, err
+    expected = "network-box" if (estimator, kind) == ("box", "network") else estimator
+    assert json.loads(out)["estimator"] == expected
 
 
 class TestBench:
@@ -256,14 +308,14 @@ class TestBench:
 
     def test_cli_bench_text_and_json(self, tmp_path, capsys, monkeypatch):
         # formatting test only; a 2-cell stub keeps it fast
-        from fracdim import box_counting_pointcloud, cli
+        from fracdim import cli
 
         def tiny_cells(seed):
             cloud = sierpinski_triangle(4)
             flat = PointCloud(np.zeros((5, 2)))  # records a per-cell error
             return [
-                ("tiny", "box", 1.585, lambda: box_counting_pointcloud(cloud)),
-                ("tiny", "box-error", None, lambda: box_counting_pointcloud(flat)),
+                ("tiny", "box", 1.585, "box", cloud, {}),
+                ("tiny", "box-error", None, "box", flat, {}),
             ]
 
         monkeypatch.setattr(cli, "_classic_cells", tiny_cells)
@@ -274,3 +326,4 @@ class TestBench:
         assert "estimator" in captured.out  # aligned text header
         records = json.loads(out.read_text())
         assert isinstance(records, list) and len(records) == 2
+        assert [r["status"] for r in records] == ["ok", "error"]

@@ -23,7 +23,6 @@ from fracdim import (
     line_network,
     loglog_fit,
     magnitude_dimension,
-    network_ph_dimension,
     ph_dimension,
     power_weighted_sum,
     sierpinski_tree,
@@ -262,6 +261,16 @@ class TestBoxCountingNetwork:
         with pytest.raises(ValueError, match="connected"):
             box_counting_network(net)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [([2.0, 0.0], "eps grid must be positive"), ([1.0, 2.0], "strictly decreasing")],
+        ids=["non-positive", "increasing"],
+    )
+    def test_eps_grid_validation(self, grid, message):
+        g3 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3))
+        with pytest.raises(ValueError, match=message):
+            box_counting_network(g3, grid)
+
 
 class TestInternalScaling:
     def test_line_interior_node(self):
@@ -369,69 +378,6 @@ class TestAlphaMagnitudeDimension:
         a = alpha_magnitude_dimension(cloud, t_grid=grid)
         b = alpha_magnitude_dimension(moved, t_grid=grid)
         assert a.value == pytest.approx(b.value, abs=1e-8)
-
-
-class TestNetworkPHDimension:
-    def test_tree_degree1_undefined(self):
-        g5 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 5))
-        cfg = PHDimensionConfig(
-            degree=1, n_schedule=tuple(range(5, 101, 5)), fit_tail=10, seed=0
-        )
-        with pytest.raises(UndefinedDimensionError):
-            network_ph_dimension(g5, cfg)
-
-    def test_line_induced_subgraphs_yield_undefined_dimension(self):
-        # induced subgraphs of a sparse line keep ~n^2/N edges, so the
-        # power-weighted sums grow with beta near 2 and the formula has no value
-        cfg = PHDimensionConfig(degree=0, seed=0)
-        with pytest.raises(UndefinedDimensionError) as err:
-            network_ph_dimension(line_network(2001), cfg)
-        assert err.value.beta is None or err.value.beta >= 1.0
-
-    def test_dense_network_runs_and_reports(self):
-        # complete-ish network: induced subgraphs stay dense enough to regress
-        rng = np.random.default_rng(1)
-        n = 60
-        edges = tuple(
-            (u, v, float(rng.uniform(0.5, 2.0)))
-            for u in range(n)
-            for v in range(u + 1, n)
-        )
-        net = WeightedNetwork(n, edges)
-        cfg = PHDimensionConfig(
-            degree=0, n_schedule=tuple(range(5, 41, 5)), fit_tail=6, repeats=3, seed=2
-        )
-        try:
-            est = network_ph_dimension(net, cfg)
-            assert est.params["experimental"] is True
-            assert math.isfinite(est.value)
-        except UndefinedDimensionError as err:
-            assert err.beta is not None  # regression ran; beta just exceeded 1
-
-    def test_experimental_warning_attached(self):
-        rng = np.random.default_rng(4)
-        n = 40
-        edges = tuple(
-            (u, v, float(rng.uniform(0.5, 2.0)))
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < 0.9
-        )
-        net = WeightedNetwork(n, edges)
-        cfg = PHDimensionConfig(
-            degree=0, n_schedule=(5, 10, 15, 20, 25, 30), fit_tail=4, repeats=2, seed=3
-        )
-        try:
-            est = network_ph_dimension(net, cfg)
-            assert any("experimental" in w for w in est.warnings)
-        except UndefinedDimensionError:
-            pass
-
-    def test_max_dim_validation(self):
-        g3 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3))
-        cfg = PHDimensionConfig(degree=1, n_schedule=(5, 10, 15), fit_tail=3)
-        with pytest.raises(ValueError):
-            network_ph_dimension(g3, cfg, max_dim=1)
 
 
 class TestDeterminism:

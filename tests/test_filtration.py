@@ -14,12 +14,17 @@ from fracdim import (
     WeightedNetwork,
     alpha_complex_2d,
     euclidean_metric,
+    h0_union_find,
+    persistence,
     rescale,
     sierpinski_tree,
+    sierpinski_triangle,
+    subsample,
     vietoris_rips,
     weight_rank_clique,
 )
 from fracdim.filtration import FilteredComplex, simplex_cap
+from oracles import naive_persistence_pairs
 
 
 def two_point_metric(d):
@@ -152,6 +157,25 @@ class TestAlphaComplex:
     def test_face_monotone_on_random_clouds(self, random_cloud, seed):
         # construction re-checks closure internally; just build it
         alpha_complex_2d(random_cloud(150, seed=seed))
+
+    @pytest.mark.parametrize("n, seed", [(100, 5), (250, 1), (250, 15)])
+    def test_zero_area_delaunay_triangles(self, n, seed):
+        # Qhull returns collinear triangles on these lattice subsamples
+        cloud = subsample(sierpinski_triangle(7), n, seed)
+        complex = alpha_complex_2d(cloud)  # checks face closure on build
+        got = persistence(complex, 1)
+        expected = naive_persistence_pairs(complex, 1)
+        for degree in range(2):
+            assert sorted(
+                (iv.birth, iv.death) for iv in got[degree].intervals
+            ) == pytest.approx(expected[degree])
+        h0, h1 = got
+        assert sum(1 for iv in h0.intervals if not iv.finite) == 1
+        assert all(iv.finite for iv in h1.intervals)
+        mst = h0_union_find(euclidean_metric(cloud))
+        assert sorted(iv.death for iv in h0.finite_intervals()) == pytest.approx(
+            sorted(iv.death / 2.0 for iv in mst.finite_intervals())
+        )
 
     def test_grid_cocircular_points(self):
         # 3x3 integer grid: maximally cocircular configuration
