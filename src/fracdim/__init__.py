@@ -55,8 +55,10 @@ from .spaces import (
     epsilon_neighbourhood,
     euclidean_metric,
     line_network,
+    network_diameter,
     rescale,
     shortest_path_metric,
+    shortest_path_rows,
     sierpinski_tree,
     sierpinski_triangle,
     subsample,

@@ -238,10 +238,18 @@ def _run_alpha_magnitude(args, cloud):
     return estimators.alpha_magnitude_dimension(cloud, *_t_grid_and_window(args), args.max_degree)
 
 
+def _node(args):
+    if args.node == "all":
+        return None
+    try:
+        return int(args.node)
+    except ValueError:
+        raise UsageError("--node must be a node id or 'all'") from None
+
+
 def _run_internal_scaling(args, net):
-    node = None if args.node == "all" else int(args.node)
     return estimators.internal_scaling_dimension(
-        net, node, _eps_grid(args, decreasing=False), _window(args)
+        net, _node(args), _eps_grid(args, decreasing=False), _window(args)
     )
 
 

@@ -28,14 +28,17 @@ from .spaces import (
     PointCloud,
     WeightedNetwork,
     derive_seed,
-    diameter,
     euclidean_metric,
+    is_connected,
+    network_diameter,
     scale_grid,
-    shortest_path_metric,
+    shortest_path_metric,  # unused here; perfbench/tracer.py wraps it under this module
+    shortest_path_rows,
     subsample,
 )
 
 R2_WARN_THRESHOLD = 0.9
+ROW_BLOCK = 256  # Dijkstra rows held at once by the all-node internal scaling
 
 
 @dataclass(frozen=True)
@@ -206,12 +209,21 @@ def greedy_cover(net: WeightedNetwork, eps: float) -> list:
     return parts
 
 
+def _connected_diameter(net: WeightedNetwork) -> float:
+    """Shortest-path diameter; ValueError unless the network is connected and it is finite."""
+    if net.node_count == 0:
+        raise ValueError("network has no nodes")
+    diam = network_diameter(net)
+    if math.isinf(diam):
+        if not is_connected(net):
+            raise ValueError("connected network required")
+        raise ValueError("shortest-path distances overflow float64")
+    return diam
+
+
 def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> DimensionEstimate:
     """Greedy epsilon-node-covering count slope for a connected network."""
-    metric = shortest_path_metric(net)
-    diam = diameter(metric)
-    if not math.isfinite(diam):
-        raise ValueError("connected network required")
+    diam = _connected_diameter(net)
     if eps_grid is None:
         eps_grid = _geometric_grid(diam, net.min_weight())
     eps_grid = scale_grid(eps_grid, "eps", increasing=False)
@@ -482,12 +494,14 @@ def internal_scaling_dimension(
 
     `node=None` averages over all nodes: the fitted slope of the mean
     log-count equals the mean of the per-node slopes, and a warning is
-    attached when per-node estimates spread beyond agreement_tol.
+    attached when per-node estimates spread beyond agreement_tol. Memory
+    is O(n + m): one Dijkstra row for `node=k`, blocks of ROW_BLOCK rows
+    for all nodes.
     """
-    metric = shortest_path_metric(net)
-    diam = diameter(metric)
-    if not math.isfinite(diam):
-        raise ValueError("connected network required")
+    n = net.node_count
+    if node is not None and not (0 <= int(node) < n):
+        raise ValueError(f"node {node} outside [0, {n})")
+    diam = _connected_diameter(net)
     if eps_grid is None:
         lo = net.min_weight() if net.edges else 1.0
         eps_grid = _geometric_grid(max(diam / 2.0, lo * 2.0), lo, decreasing=False)
@@ -496,21 +510,18 @@ def internal_scaling_dimension(
             window = (len(eps_grid) // 2, len(eps_grid))
     eps_grid = scale_grid(eps_grid, "eps")
 
-    sorted_rows = np.sort(metric.dist, axis=1)
-    counts = np.stack(
-        [np.searchsorted(row, eps_grid, side="right") for row in sorted_rows]
-    ).astype(np.float64)
+    def ball_counts(sources):
+        rows = np.sort(shortest_path_rows(net, sources), axis=1)
+        return [np.searchsorted(row, eps_grid, side="right") for row in rows]
 
     if node is not None:
-        if not (0 <= int(node) < net.node_count):
-            raise ValueError(f"node {node} outside [0, {net.node_count})")
-        ys = counts[int(node)]
+        ys = np.array(ball_counts([int(node)])[0], dtype=np.float64)
         fit = loglog_fit(eps_grid, ys, window)
         params = {
             "node": int(node),
             "eps_grid": eps_grid,
             "window": list(fit.window),
-            "n_nodes": net.node_count,
+            "n_nodes": n,
         }
         return DimensionEstimate(
             "internal-scaling",
@@ -521,6 +532,10 @@ def internal_scaling_dimension(
             _fit_warnings(fit),
         )
 
+    counts = np.empty((n, len(eps_grid)))
+    for start in range(0, n, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, n)
+        counts[start:stop] = ball_counts(range(start, stop))
     log_counts = np.log(counts)
     mean_log = np.exp(log_counts.mean(axis=0))  # geometric mean counts
     fit = loglog_fit(eps_grid, mean_log, window)
@@ -543,7 +558,7 @@ def internal_scaling_dimension(
         "agreement_tol": agreement_tol,
         "per_node_spread": spread,
         "has_internal_scaling_dimension": has_dimension,
-        "n_nodes": net.node_count,
+        "n_nodes": n,
     }
     return DimensionEstimate(
         "internal-scaling",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import ResourceLimitError
@@ -243,23 +243,78 @@ def line_network(n: int) -> WeightedNetwork:
     return WeightedNetwork(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
+def _csr_graph(net: WeightedNetwork) -> csr_matrix:
+    """Symmetric sparse adjacency matrix holding the edge weights."""
+    n = net.node_count
+    u = np.fromiter((e[0] for e in net.edges), dtype=np.int64, count=net.edge_count)
+    v = np.fromiter((e[1] for e in net.edges), dtype=np.int64, count=net.edge_count)
+    w = np.fromiter((e[2] for e in net.edges), dtype=np.float64, count=net.edge_count)
+    return csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n),
+    )
+
+
+def shortest_path_rows(net: WeightedNetwork, sources) -> np.ndarray:
+    """(len(sources), n) single-source Dijkstra distances; inf between components.
+
+    Row i holds d(sources[i], j) as summed along paths from the source.
+    """
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    return dijkstra(_csr_graph(net), directed=False, indices=sources)
+
+
+def network_diameter(net: WeightedNetwork) -> float:
+    """Exact shortest-path diameter from a few single-source sweeps; inf if disconnected.
+
+    Eccentricity bounds (Takes & Kosters, "Determining the diameter of
+    small world networks", 2011): a sweep from v with eccentricity e
+    gives every node w the bounds max(d, e - d) <= ecc(w) <= e + d,
+    d = d(v, w). Sweeps alternate between the live node with the largest
+    upper bound and the one with the smallest lower bound; a node is
+    dropped once its upper bound cannot beat the best eccentricity found.
+    The result is always a computed row maximum, and at most n sweeps run.
+    """
+    n = net.node_count
+    if n <= 1:
+        return 0.0
+    lower = np.zeros(n)
+    upper = np.full(n, np.inf)
+    live = np.ones(n, dtype=bool)
+    best = 0.0
+    source = 0
+    for sweep in range(n):
+        row = shortest_path_rows(net, [source])[0]
+        ecc = float(row.max())
+        if not math.isfinite(ecc):
+            return math.inf
+        best = max(best, ecc)
+        np.maximum(lower, np.maximum(row, ecc - row), out=lower)
+        with np.errstate(over="ignore"):  # an inf bound only keeps a node live
+            np.minimum(upper, ecc + row, out=upper)
+        live[source] = False
+        live &= upper > best
+        candidates = np.flatnonzero(live)
+        if candidates.size == 0:
+            break
+        if sweep % 2 == 0:
+            source = int(candidates[np.argmax(upper[candidates])])
+        else:
+            source = int(candidates[np.argmin(lower[candidates])])
+    return best
+
+
+def is_connected(net: WeightedNetwork) -> bool:
+    """True when every node reaches every other (vacuously for n <= 1)."""
+    return net.node_count <= 1 or connected_components(_csr_graph(net), directed=False)[0] == 1
+
+
 def shortest_path_metric(net: WeightedNetwork) -> MetricView:
     """All-pairs shortest-path distances; inf between components."""
     n = net.node_count
     if n == 0:
         return MetricView(np.zeros((0, 0)))
-    if not net.edges:
-        d = np.full((n, n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        return MetricView(d)
-    u = np.fromiter((e[0] for e in net.edges), dtype=np.int64)
-    v = np.fromiter((e[1] for e in net.edges), dtype=np.int64)
-    w = np.fromiter((e[2] for e in net.edges), dtype=np.float64)
-    graph = csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(n, n),
-    )
-    d = dijkstra(graph, directed=False)
+    d = shortest_path_rows(net, range(n))
     # float summation order can differ between the i->j and j->i runs
     d = np.minimum(d, d.T)
     np.fill_diagonal(d, 0.0)

@@ -144,6 +144,15 @@ class TestEstimate:
         assert code == 2
         assert "connected" in err
 
+    @pytest.mark.parametrize("estimator", ["box", "internal-scaling"])
+    def test_network_distance_overflow_exit2(self, tmp_path, capsys, estimator):
+        path = tmp_path / "net.edges"
+        path.write_text("0 1 1e308\n1 2 1e308\n")
+        code, out, err = run_cli(["estimate", estimator, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: shortest-path distances overflow float64\n"
+
     def test_incompatible_pair_lists_valid_ones(self, tmp_path, capsys):
         path = tmp_path / "net.edges"
         path.write_text("0 1 1.0\n1 2 1.0\n")
@@ -233,14 +242,18 @@ class TestEstimate:
              "--eps-count must be at least 2"),
             ("box", ["--input", "missing.csv"], "No such file"),
             ("box", ["--input", "."], "directory"),
+            ("internal-scaling", ["--input", "n.edges", "--node", "abc"],
+             "--node must be a node id or 'all'"),
         ],
-        ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory"],
+        ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
+             "node"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message
     ):
         monkeypatch.chdir(tmp_path)
         save_pointcloud(sierpinski_triangle(4), tmp_path / "s.csv")
+        save_network(sierpinski_tree(SierpinskiTreeParams(3, 0.5, 2)), tmp_path / "n.edges")
         code, out, err = run_cli(["estimate", estimator, "--input", "s.csv", *flags], capsys)
         assert code == 2
         assert out == ""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,12 @@ from fracdim import (
     magnitude_dimension,
     ph_dimension,
     power_weighted_sum,
+    shortest_path_metric,
     sierpinski_tree,
     sierpinski_triangle,
     subsample,
 )
+from fracdim import spaces
 from fracdim.estimators import grid_box_count, pair_correlation
 from fracdim.persistence import h0_union_find
 from oracles import (
@@ -40,6 +43,8 @@ from oracles import (
 )
 
 LOG3_LOG2 = math.log(3) / math.log(2)
+# connected, but the 0-2 path length overflows float64
+OVERFLOW_NET = WeightedNetwork(3, ((0, 1, 1e308), (1, 2, 1e308)))
 
 
 class TestLogLogFit:
@@ -261,6 +266,10 @@ class TestBoxCountingNetwork:
         with pytest.raises(ValueError, match="connected"):
             box_counting_network(net)
 
+    def test_distance_overflow_named(self):
+        with pytest.raises(ValueError, match="^shortest-path distances overflow float64$"):
+            box_counting_network(OVERFLOW_NET)
+
     @pytest.mark.parametrize(
         "grid, message",
         [([2.0, 0.0], "eps grid must be positive"), ([1.0, 2.0], "strictly decreasing")],
@@ -312,6 +321,64 @@ class TestInternalScaling:
         net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
         with pytest.raises(ValueError, match="connected"):
             internal_scaling_dimension(net, node=0)
+
+    def test_distance_overflow_named(self):
+        for node in (0, None):
+            with pytest.raises(ValueError, match="^shortest-path distances overflow float64$"):
+                internal_scaling_dimension(OVERFLOW_NET, node=node)
+        net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
+        with pytest.raises(ValueError, match="^connected network required$"):
+            internal_scaling_dimension(net)
+
+    @pytest.mark.parametrize("node", [-1, 7])
+    def test_node_checked_before_any_sweep(self, node, monkeypatch):
+        def no_sweeps(*args, **kwargs):
+            raise AssertionError("Dijkstra ran before the node check")
+
+        monkeypatch.setattr(spaces, "dijkstra", no_sweeps)
+        with pytest.raises(ValueError, match=f"node {node} outside"):
+            internal_scaling_dimension(line_network(7), node=node)
+
+    @pytest.mark.parametrize(
+        "net",
+        [line_network(501), sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4)),
+         sierpinski_tree(SierpinskiTreeParams(3, 0.5, 6))],
+        ids=["line-501", "tree-4", "tree-6"],
+    )
+    def test_both_modes_match_dense_reference(self, net):
+        # reference counts read off the dense all-pairs matrix
+        dist = shortest_path_metric(net).dist
+        lo = net.min_weight()
+        eps = [float(g) for g in np.geomspace(lo, max(float(dist.max()) / 2.0, 2 * lo), 12)]
+        counts = np.array(
+            [[np.count_nonzero(row <= e) for e in eps] for row in dist], dtype=np.float64
+        )
+        window = (6, 12)
+        node = net.node_count // 3
+        one = internal_scaling_dimension(net, node=node)
+        assert one.params["eps_grid"] == eps
+        assert [c for _, c in one.points] == list(counts[node])
+        assert one.value == loglog_fit(eps, counts[node], window).slope
+
+        every = internal_scaling_dimension(net)
+        log_counts = np.log(counts)
+        mean = np.exp(log_counts.mean(axis=0))
+        assert [c for _, c in every.points] == list(mean)
+        assert every.value == loglog_fit(eps, mean, window).slope
+        lx = np.log(eps)[slice(*window)]
+        lx = lx - lx.mean()
+        per_node = (log_counts[:, slice(*window)] @ lx) / float(lx @ lx)
+        assert every.params["per_node_spread"] == float(per_node.max() - per_node.min())
+
+    def test_one_node_of_long_line_traced_peak(self):
+        net = line_network(10001)
+        tracemalloc.start()
+        try:
+            internal_scaling_dimension(net, node=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
 
 class TestMagnitudeDimension:

@@ -17,13 +17,16 @@ from fracdim import (
     epsilon_neighbourhood,
     euclidean_metric,
     line_network,
+    network_diameter,
     rescale,
     shortest_path_metric,
+    shortest_path_rows,
     sierpinski_tree,
     sierpinski_triangle,
     subsample,
 )
-from oracles import point_in_triangle
+from fracdim import spaces
+from oracles import induced_diameter, point_in_triangle
 
 TRI = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
 
@@ -164,6 +167,81 @@ class TestShortestPathMetric:
     def test_triangle_inequality_on_tree(self):
         net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
         shortest_path_metric(net).validate_triangle(tol=0.0)
+
+
+def random_connected_network(seed):
+    """Seeded random spanning tree plus extra edges, weights uniform in (0.01, 10)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 121))
+    edges = {}
+    for v in range(1, n):
+        edges[(int(rng.integers(0, v)), v)] = float(rng.uniform(0.01, 10.0))
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        edges[(u, v)] = float(rng.uniform(0.01, 10.0))
+    return WeightedNetwork(n, tuple((u, v, w) for (u, v), w in edges.items()))
+
+
+def count_sweeps(monkeypatch):
+    """Counts calls to spaces.shortest_path_rows made through the module."""
+    calls = []
+    rows = spaces.shortest_path_rows
+
+    def counted(net, sources):
+        calls.append(list(sources))
+        return rows(net, sources)
+
+    monkeypatch.setattr(spaces, "shortest_path_rows", counted)
+    return calls
+
+
+class TestNetworkDiameter:
+    @pytest.mark.parametrize("n", [1, 2, 5, 64, 501])
+    def test_line_exact(self, n):
+        net = line_network(n)
+        assert network_diameter(net) == induced_diameter(net, range(n)) == n - 1
+
+    def test_star_exact(self):
+        star = WeightedNetwork(9, tuple((0, i, 0.5 * i) for i in range(1, 9)))
+        assert network_diameter(star) == induced_diameter(star, range(9)) == 7.5
+
+    def test_fig7_exact(self, fig7_left, fig7_right):
+        for net in (fig7_left, fig7_right):
+            assert network_diameter(net) == induced_diameter(net, range(4)) == 3.0
+
+    @pytest.mark.parametrize("levels", [2, 3, 4, 5, 6])
+    def test_sierpinski_tree_exact(self, levels):
+        net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, levels))
+        assert network_diameter(net) == induced_diameter(net, range(net.node_count))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_float_weights_match_oracle(self, seed, monkeypatch):
+        net = random_connected_network(seed)
+        calls = count_sweeps(monkeypatch)
+        diam = network_diameter(net)
+        assert math.isclose(diam, induced_diameter(net, range(net.node_count)), rel_tol=1e-14)
+        assert 1 <= len(calls) <= net.node_count
+
+    @pytest.mark.parametrize(
+        "net", [line_network(2001), sierpinski_tree(SierpinskiTreeParams(3, 0.5, 6))],
+        ids=["line-2001", "sierpinski-tree-6"],
+    )
+    def test_three_sweeps_on_line_and_tree(self, net, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        network_diameter(net)
+        assert len(calls) == 3
+
+    def test_disconnected_inf(self):
+        net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
+        assert network_diameter(net) == math.inf
+        assert network_diameter(WeightedNetwork(3, ())) == math.inf
+
+    def test_rows_equal_dense_metric_rows(self):
+        net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
+        rows = shortest_path_rows(net, [0, 7, net.node_count - 1])
+        dense = shortest_path_metric(net).dist
+        assert rows.shape == (3, net.node_count)
+        assert np.array_equal(rows, dense[[0, 7, net.node_count - 1]])
 
 
 class TestNeighbourhood:
