@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import (
     DegenerateInputError,
@@ -27,6 +28,7 @@ from .spaces import (
     MetricView,
     PointCloud,
     WeightedNetwork,
+    csr_graph,
     derive_seed,
     euclidean_metric,
     is_connected,
@@ -38,7 +40,7 @@ from .spaces import (
 )
 
 R2_WARN_THRESHOLD = 0.9
-ROW_BLOCK = 256  # Dijkstra rows held at once by the all-node internal scaling
+ROW_BLOCK = 256  # Dijkstra rows held at once: all-node internal scaling, first cover sizes
 
 
 @dataclass(frozen=True)
@@ -153,23 +155,6 @@ def box_counting_pointcloud(cloud: PointCloud, eps_grid=None, window=None) -> Di
     )
 
 
-def _restricted_ball(adj, covered, centre, radius):
-    """Nodes reachable from centre within radius, walking uncovered nodes only."""
-    dist = {centre: 0.0}
-    heap = [(0.0, centre)]
-    ball = []
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        ball.append(u)
-        for v, w in adj[u]:
-            nd = d + w
-            if not covered[v] and nd <= radius and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return ball
-
 def greedy_cover(net: WeightedNetwork, eps: float) -> list:
     """Partition nodes into subnetworks of induced diameter <= eps.
 
@@ -177,35 +162,54 @@ def greedy_cover(net: WeightedNetwork, eps: float) -> list:
     through uncovered nodes only, so parts stay internally connected)
     that covers the most uncovered nodes, ties broken by lowest centre
     id. Lazy re-evaluation: restricted balls only shrink as the cover
-    grows, so stale queue entries are safe to refresh on demand.
+    grows, so stale queue entries are safe to refresh on demand. Balls
+    come from scipy's Dijkstra on one sparse graph; memory is
+    O(ROW_BLOCK * n + m).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be finite and positive")
     n = net.node_count
-    adj = net.adjacency()
-    covered = [False] * n
+    graph = csr_graph(net)
     radius = eps / 2.0
-    parts = []
-    heap = [(-n, c) for c in range(n)]
-    fresh = [-1] * n  # round at which the queued size was computed
-    cached = [None] * n
+
+    def within(sources):  # ball membership, one row per source
+        return dijkstra(graph, directed=True, indices=sources, limit=radius) <= radius
+
+    heap = []
+    for start in range(0, n, ROW_BLOCK):
+        block = np.arange(start, min(start + ROW_BLOCK, n))
+        sizes = np.count_nonzero(within(block), axis=1)
+        heap.extend(zip((-sizes).tolist(), block.tolist()))
+    heapq.heapify(heap)
+    covered = np.zeros(n, dtype=bool)
+    fresh = [0] * n  # round at which the queued size was computed
+    last_centre, last_ball = -1, None  # the most recent refresh
     rounds = 0
+    parts = []
     while heap:
-        _, centre = heapq.heappop(heap)
+        size, centre = heapq.heappop(heap)
         if covered[centre]:
             continue
+        if size == -1:
+            # a ball holds its centre, so every bound left is exact: the
+            # uncovered nodes remain, as singletons in id order
+            parts.extend([c] for c in np.flatnonzero(~covered).tolist())
+            break
         if fresh[centre] == rounds:
-            ball = cached[centre]
-            for u in ball:
-                covered[u] = True
-            parts.append(sorted(ball))
+            part = last_ball if centre == last_centre else np.flatnonzero(within(centre))
+            covered[part] = True
+            # Cut every edge into a covered node. The search must stay
+            # directed: undirected mode takes min(G, G.T) and restores the
+            # cut direction. The cut weight is inf, not 0: scipy reads an
+            # explicit 0 in sparse input as a weight-0 edge.
+            graph.data[covered[graph.indices]] = np.inf
+            parts.append(part.tolist())
             rounds += 1
         else:
             # stale upper bound: refresh and requeue; sizes only shrink
-            ball = _restricted_ball(adj, covered, centre, radius)
+            last_centre, last_ball = centre, np.flatnonzero(within(centre))
             fresh[centre] = rounds
-            cached[centre] = ball
-            heapq.heappush(heap, (-len(ball), centre))
+            heapq.heappush(heap, (-len(last_ball), centre))
     return parts
 
 

@@ -94,14 +94,6 @@ class WeightedNetwork:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list:
-        """Adjacency lists [(neighbour, weight), ...] per node."""
-        adj = [[] for _ in range(self.node_count)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        return adj
-
     def min_weight(self) -> float:
         if not self.edges:
             raise ValueError("network has no edges")
@@ -243,8 +235,8 @@ def line_network(n: int) -> WeightedNetwork:
     return WeightedNetwork(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
-def _csr_graph(net: WeightedNetwork) -> csr_matrix:
-    """Symmetric sparse adjacency matrix holding the edge weights."""
+def csr_graph(net: WeightedNetwork) -> csr_matrix:
+    """Symmetric sparse adjacency matrix holding the edge weights, built anew per call."""
     n = net.node_count
     u = np.fromiter((e[0] for e in net.edges), dtype=np.int64, count=net.edge_count)
     v = np.fromiter((e[1] for e in net.edges), dtype=np.int64, count=net.edge_count)
@@ -261,7 +253,7 @@ def shortest_path_rows(net: WeightedNetwork, sources) -> np.ndarray:
     Row i holds d(sources[i], j) as summed along paths from the source.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    return dijkstra(_csr_graph(net), directed=False, indices=sources)
+    return dijkstra(csr_graph(net), directed=False, indices=sources)
 
 
 def network_diameter(net: WeightedNetwork) -> float:
@@ -306,7 +298,7 @@ def network_diameter(net: WeightedNetwork) -> float:
 
 def is_connected(net: WeightedNetwork) -> bool:
     """True when every node reaches every other (vacuously for n <= 1)."""
-    return net.node_count <= 1 or connected_components(_csr_graph(net), directed=False)[0] == 1
+    return net.node_count <= 1 or connected_components(csr_graph(net), directed=False)[0] == 1
 
 
 def shortest_path_metric(net: WeightedNetwork) -> MetricView:
@@ -336,8 +328,10 @@ def rescale(metric: MetricView, t: float) -> MetricView:
 
 
 def scale_grid(grid, name: str, increasing: bool = True) -> list:
-    """Grid as floats; raises unless every entry is positive and the order is strict."""
+    """Grid as floats; raises unless every entry is finite and positive and the order is strict."""
     grid = [float(g) for g in grid]
+    if not all(math.isfinite(g) for g in grid):
+        raise ValueError(f"{name} grid must be finite")
     if any(g <= 0 for g in grid):
         raise ValueError(f"{name} grid must be positive")
     pairs = zip(grid, grid[1:])

@@ -2,9 +2,11 @@
 
 Deliberately naive implementations on separate code paths from the
 package: dense boundary-matrix reduction, loop-based counting, Prim MST,
-exhaustive minimal covers, magnitude via explicit matrix inversion.
+exhaustive minimal covers, a non-lazy greedy cover, magnitude via
+explicit matrix inversion.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -109,6 +111,52 @@ def induced_diameter(net, nodes):
     for m in range(k):
         d = np.minimum(d, d[:, m : m + 1] + d[m : m + 1, :])
     return float(d.max()) if k else 0.0
+
+
+def naive_greedy_cover(net, eps):
+    """Greedy ball covering, every restricted ball recomputed every round.
+
+    Each round runs a plain Dijkstra over uncovered nodes from every
+    uncovered node and claims the largest radius-eps/2 ball, the lowest
+    centre id first on ties. No queue of sizes carries over between
+    rounds.
+    """
+    n = net.node_count
+    adj = [[] for _ in range(n)]
+    for u, v, w in net.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    radius = eps / 2.0
+    covered = [False] * n
+
+    def ball(centre):
+        dist = {centre: 0.0}
+        heap = [(0.0, centre)]
+        done = set()
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u in done:
+                continue
+            done.add(u)
+            for v, w in adj[u]:
+                nd = d + w
+                if not covered[v] and nd <= radius and nd < dist.get(v, math.inf):
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        return sorted(done)
+
+    parts = []
+    while not all(covered):
+        best = []
+        for c in range(n):
+            if not covered[c]:
+                b = ball(c)
+                if len(b) > len(best):
+                    best = b
+        for u in best:
+            covered[u] = True
+        parts.append(best)
+    return parts
 
 
 def minimal_cover_size(net, eps):

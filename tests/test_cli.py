@@ -244,9 +244,13 @@ class TestEstimate:
             ("box", ["--input", "."], "directory"),
             ("internal-scaling", ["--input", "n.edges", "--node", "abc"],
              "--node must be a node id or 'all'"),
+            ("box", ["--input", "n.edges", "--eps-min", "nan", "--eps-max", "10"],
+             "eps grid must be finite"),
+            ("internal-scaling", ["--input", "n.edges", "--eps-min", "nan", "--eps-max", "10"],
+             "eps grid must be finite"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
-             "node"],
+             "node", "eps-nan-box", "eps-nan-internal-scaling"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message

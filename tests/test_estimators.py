@@ -38,9 +38,11 @@ from oracles import (
     induced_diameter,
     minimal_cover_size,
     naive_box_count,
+    naive_greedy_cover,
     naive_mst_total,
     naive_pair_fraction,
 )
+from test_spaces import random_connected_network
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 # connected, but the 0-2 path length overflows float64
@@ -250,6 +252,36 @@ class TestBoxCountingNetwork:
             exact = minimal_cover_size(g2, float(eps))
             assert exact <= greedy <= 2 * exact
 
+    @pytest.mark.parametrize(
+        "net",
+        [
+            *(line_network(n) for n in (3, 5, 64, 201)),
+            WeightedNetwork(9, tuple((0, i, 0.5 * i) for i in range(1, 9))),
+            *(sierpinski_tree(SierpinskiTreeParams(3, 0.5, k)) for k in (2, 3, 4, 5)),
+        ],
+        ids=["line-3", "line-5", "line-64", "line-201", "star", "tree-2", "tree-3", "tree-4",
+             "tree-5"],
+    )
+    def test_greedy_cover_matches_naive_oracle(self, net):
+        for eps in box_counting_network(net).params["eps_grid"]:
+            assert greedy_cover(net, eps) == naive_greedy_cover(net, eps)
+
+    def test_greedy_cover_matches_naive_oracle_fig7(self, fig7_left, fig7_right):
+        for net in (fig7_left, fig7_right):
+            for eps in box_counting_network(net).params["eps_grid"]:
+                assert greedy_cover(net, eps) == naive_greedy_cover(net, eps)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_greedy_cover_matches_naive_oracle_random_weights(self, seed):
+        net = random_connected_network(seed)
+        for eps in box_counting_network(net).params["eps_grid"]:
+            assert greedy_cover(net, eps) == naive_greedy_cover(net, eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_greedy_cover_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="^eps must be finite and positive$"):
+            greedy_cover(line_network(5), eps)
+
     def test_sierpinski_tree_g6(self):
         g6 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 6))
         est = box_counting_network(g6)
@@ -272,8 +304,13 @@ class TestBoxCountingNetwork:
 
     @pytest.mark.parametrize(
         "grid, message",
-        [([2.0, 0.0], "eps grid must be positive"), ([1.0, 2.0], "strictly decreasing")],
-        ids=["non-positive", "increasing"],
+        [
+            ([2.0, 0.0], "eps grid must be positive"),
+            ([1.0, 2.0], "strictly decreasing"),
+            ([math.nan, 1.0], "^eps grid must be finite$"),
+            ([math.inf, 1.0], "^eps grid must be finite$"),
+        ],
+        ids=["non-positive", "increasing", "nan", "inf"],
     )
     def test_eps_grid_validation(self, grid, message):
         g3 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3))
