@@ -33,7 +33,6 @@ from .filtration import (
     Simplex,
     alpha_complex_2d,
     vietoris_rips,
-    weight_rank_clique,
 )
 from .magnitude import (
     MagnitudeFunctionSamples,
@@ -43,7 +42,7 @@ from .magnitude import (
     persistent_magnitude,
     rips_magnitude,
 )
-from .persistence import Barcode, Interval, dump_barcodes, h0_union_find, persistence
+from .persistence import Barcode, Interval, h0_union_find, persistence
 from .spaces import (
     MetricView,
     PointCloud,
@@ -51,8 +50,6 @@ from .spaces import (
     WeightedNetwork,
     cantor_set,
     derive_seed,
-    diameter,
-    epsilon_neighbourhood,
     euclidean_metric,
     line_network,
     network_diameter,

@@ -69,7 +69,8 @@ def _build_parser():
     est.add_argument("--kind", choices=["cloud", "network"], default=None,
                      help="input kind (default: sniffed from content)")
     est.add_argument("--seed", type=int, default=42)
-    est.add_argument("--threads", type=int, default=None)
+    est.add_argument("--threads", type=int, default=None,
+                     help="worker threads for magnitude-dim; other estimators run serially")
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
     # eps-grid estimators
@@ -183,6 +184,8 @@ def _window(args):
 
 def _t_grid_and_window(args):
     """Scale grid from --t-min/--t-max/--t-step; window (40, 80) on grids of 80 or more."""
+    if not all(map(math.isfinite, (args.t_min, args.t_max, args.t_step))):
+        raise UsageError("--t-min, --t-max and --t-step must be finite")
     if not args.t_step > 0:
         raise UsageError("--t-step must be positive")
     if args.t_max < args.t_min:
@@ -223,7 +226,7 @@ def _run_correlation(args, cloud):
 
 
 def _run_ph(args, cloud):
-    return estimators.ph_dimension(cloud, _ph_config(args), args.threads)
+    return estimators.ph_dimension(cloud, _ph_config(args))
 
 
 def _run_magnitude(args, space):

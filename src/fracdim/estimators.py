@@ -22,7 +22,6 @@ from .errors import (
 )
 from .filtration import alpha_complex_2d, vietoris_rips
 from .magnitude import magnitude_function, persistent_magnitude, rescale_barcode
-from .parallel import parallel_map
 from .persistence import h0_union_find, persistence
 from .spaces import (
     MetricView,
@@ -86,8 +85,8 @@ def loglog_fit(xs, ys, window=None) -> LogLogFit:
     ys = [float(y) for y in ys]
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
-    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
-        raise ValueError("log-log fit requires positive inputs")
+    if not all(0 < v < math.inf for v in xs + ys):
+        raise ValueError("log-log fit requires finite positive inputs")
     if window is None:
         window = (0, len(xs))
     lo, hi = int(window[0]), int(window[1])
@@ -125,7 +124,10 @@ def _fit_warnings(fit):
 def grid_box_count(cloud: PointCloud, eps: float) -> int:
     """Occupied axis-aligned boxes of side eps, anchored at the bounding-box corner."""
     mins = cloud.points.min(axis=0)
-    cells = np.floor((cloud.points - mins) / eps).astype(np.int64)
+    scaled = (cloud.points - mins) / eps
+    if not scaled.max() < 2.0**63:
+        raise ValueError(f"box indices at eps={eps:g} overflow int64")
+    cells = np.floor(scaled).astype(np.int64)
     return int(np.unique(cells, axis=0).shape[0])
 
 
@@ -346,7 +348,7 @@ def power_weighted_sum(barcode, alpha: float) -> float:
     return float(sum(iv.length**alpha for iv in barcode.finite_intervals()))
 
 
-def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig, threads=None) -> DimensionEstimate:
+def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate:
     """PH dimension alpha/(1-beta) from power-weighted barcode sums of subsamples.
 
     Degree 0 uses the union-find fast path; higher degrees reduce a
@@ -357,8 +359,7 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig, threads=None) -> Dim
             f"largest subsample {cfg.n_schedule[-1]} exceeds cloud size {cloud.n}"
         )
 
-    def task(nr):
-        n, r = nr
+    def task(n, r):
         sample = subsample(cloud, n, derive_seed(cfg.seed, n, r))
         metric = euclidean_metric(sample)
         if cfg.degree == 0:
@@ -368,8 +369,7 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig, threads=None) -> Dim
             bc = persistence(complex, cfg.degree)[cfg.degree]
         return power_weighted_sum(bc, cfg.alpha)
 
-    tasks = [(n, r) for n in cfg.n_schedule for r in range(cfg.repeats)]
-    sums = parallel_map(task, tasks, threads)
+    sums = [task(n, r) for n in cfg.n_schedule for r in range(cfg.repeats)]
     means = [
         float(np.mean(sums[i : i + cfg.repeats]))
         for i in range(0, len(sums), cfg.repeats)

@@ -1,9 +1,8 @@
 """Filtered simplicial complexes.
 
-Three constructions: Vietoris-Rips over any metric view, alpha complexes
-over planar point clouds, and weight-rank clique complexes over weighted
-networks. All produce a FilteredComplex sorted by (value, dimension,
-vertices) and closed under faces.
+Two constructions: Vietoris-Rips over any metric view and alpha
+complexes over planar point clouds. Both produce a FilteredComplex sorted
+by (value, dimension, vertices) and closed under faces.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, ResourceLimitError
-from .spaces import MetricView, PointCloud, WeightedNetwork
+from .spaces import MetricView, PointCloud
 
 DEFAULT_SIMPLEX_CAP = 50_000_000
 
@@ -53,7 +52,6 @@ class FilteredComplex:
 
     simplices: tuple
     max_dim: int
-    source: str
 
     def __post_init__(self):
         sims = sorted(self.simplices, key=lambda s: (s.value, s.dim, s.vertices))
@@ -82,9 +80,6 @@ class FilteredComplex:
     def __len__(self) -> int:
         return len(self.simplices)
 
-    def top_dimension(self) -> int:
-        return max((s.dim for s in self.simplices), default=-1)
-
     def dump(self) -> str:
         """Debug format: one 'v0,v1,...:value' line per simplex, sorted as stored."""
         return "\n".join(
@@ -93,15 +88,28 @@ class FilteredComplex:
         )
 
 
-def _expand_flag_complex(n, lower, pair_value, max_dim, cap, vertex_value=0.0):
-    """Incremental flag-complex expansion over a weighted graph.
+def vietoris_rips(
+    metric: MetricView, max_dim: int, max_scale: float = math.inf, cap: int = None
+) -> FilteredComplex:
+    """Vietoris-Rips complex: simplices whose pairwise distances are <= max_scale.
 
-    `lower[v]` lists the neighbours u < v; `pair_value(u, w)` gives the
-    edge value. Enumerates every clique of size <= max_dim + 1 with value
-    equal to its largest edge, without materialising the 2^n blow-up.
+    Simplex value = largest pairwise distance (0 for vertices). Pairs at
+    infinite distance never form an edge. Cliques of size <= max_dim + 1
+    are enumerated by incremental expansion over lower neighbours, without
+    materialising the 2^n blow-up.
     """
-    sims = []
+    n = metric.size
+    if not (0 <= max_dim <= max(n - 1, 0)):
+        raise ValueError(f"max_dim must lie in [0, {n - 1}]")
+    if cap is None:
+        cap = simplex_cap()
+    d = metric.dist
+    lower = [
+        [u for u in range(v) if d[u, v] <= max_scale and math.isfinite(d[u, v])]
+        for v in range(n)
+    ]
     lower_sets = [set(l) for l in lower]
+    sims = []
 
     def add_cofaces(tau, value, candidates):
         if len(sims) >= cap:
@@ -115,58 +123,12 @@ def _expand_flag_complex(n, lower, pair_value, max_dim, cap, vertex_value=0.0):
         for u in candidates:
             val = value
             for w in tau:
-                val = max(val, pair_value(u, w))
+                val = max(val, d[u, w])
             add_cofaces((u, *tau), val, [x for x in candidates if x in lower_sets[u]])
 
     for v in range(n):
-        add_cofaces((v,), vertex_value, sorted(lower[v]))
-    return sims
-
-
-def vietoris_rips(
-    metric: MetricView, max_dim: int, max_scale: float = math.inf, cap: int = None
-) -> FilteredComplex:
-    """Vietoris-Rips complex: simplices whose pairwise distances are <= max_scale.
-
-    Simplex value = largest pairwise distance (0 for vertices). Pairs at
-    infinite distance never form an edge.
-    """
-    n = metric.size
-    if not (0 <= max_dim <= max(n - 1, 0)):
-        raise ValueError(f"max_dim must lie in [0, {n - 1}]")
-    if cap is None:
-        cap = simplex_cap()
-    d = metric.dist
-    lower = [
-        [u for u in range(v) if d[u, v] <= max_scale and math.isfinite(d[u, v])]
-        for v in range(n)
-    ]
-    sims = _expand_flag_complex(n, lower, lambda u, w: d[u, w], max_dim, cap)
-    return FilteredComplex(tuple(sims), max_dim, "vr")
-
-
-def weight_rank_clique(net: WeightedNetwork, max_dim: int, cap: int = None) -> FilteredComplex:
-    """Clique complex of a weighted network, filtered by largest edge weight.
-
-    At parameter eps this is the clique complex of the subnetwork with
-    edge weights <= eps; vertices enter at 0.
-    """
-    n = net.node_count
-    if not (0 <= max_dim <= max(n - 1, 0)):
-        raise ValueError(f"max_dim must lie in [0, {n - 1}]")
-    if cap is None:
-        cap = simplex_cap()
-    weight = {}
-    lower = [[] for _ in range(n)]
-    for u, v, w in net.edges:
-        weight[(u, v)] = w
-        lower[v].append(u)
-
-    def value(u, w):
-        return weight[(u, w)] if u < w else weight[(w, u)]
-
-    sims = _expand_flag_complex(n, lower, value, max_dim, cap)
-    return FilteredComplex(tuple(sims), max_dim, "wrcc")
+        add_cofaces((v,), 0.0, lower[v])
+    return FilteredComplex(tuple(sims), max_dim)
 
 
 def _circumcircle(a, b, c):
@@ -207,7 +169,7 @@ def _collinear_alpha(points):
         gap = float(np.hypot(*(points[a] - points[b])))
         sims.append(Simplex(tuple(sorted((int(a), int(b)))), gap / 2.0))
         top = 1
-    return FilteredComplex(tuple(sims), top, "alpha")
+    return FilteredComplex(tuple(sims), top)
 
 
 def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
@@ -224,7 +186,7 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     if len(np.unique(pts, axis=0)) != cloud.n:
         raise ValueError("duplicate points")
     if cloud.n == 1:
-        return FilteredComplex((Simplex((0,), 0.0),), 0, "alpha")
+        return FilteredComplex((Simplex((0,), 0.0),), 0)
 
     centred = pts - pts[0]
     if cloud.n == 2 or np.linalg.matrix_rank(centred, tol=1e-12) < 2:
@@ -268,4 +230,4 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
             radius = max(edge_value[(i, j)], edge_value[(i, k)], edge_value[(j, k)])
         sims.append(Simplex((i, j, k), radius))
     sims.extend(Simplex(edge, value) for edge, value in edge_value.items())
-    return FilteredComplex(tuple(sims), 2, "alpha")
+    return FilteredComplex(tuple(sims), 2)

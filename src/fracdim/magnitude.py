@@ -81,14 +81,6 @@ class MagnitudeFunctionSamples:
             for v, r in zip(self.values, self.residuals)
         )
 
-    def to_csv(self) -> str:
-        rows = ["t,magnitude,residual"]
-        rows.extend(
-            f"{t:.17g},{v:.17g},{r:.17g}"
-            for t, v, r in zip(self.t_grid, self.values, self.residuals)
-        )
-        return "\n".join(rows) + "\n"
-
 
 def magnitude_function(metric: MetricView, t_grid, threads=None) -> MagnitudeFunctionSamples:
     """Magnitude of the rescaled space per grid entry; failures flagged, not raised."""

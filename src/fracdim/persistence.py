@@ -187,12 +187,3 @@ def h0_union_find(metric: MetricView) -> Barcode:
     bars.extend(Interval(0.0, math.inf) for _ in range(n - len(deaths)))
     return Barcode(0, tuple(bars))
 
-
-def dump_barcodes(barcodes) -> str:
-    """One 'degree birth death' line per interval, 'inf' for infinite deaths."""
-    rows = []
-    for bc in sorted(barcodes, key=lambda b: b.degree):
-        for iv in bc.intervals:
-            death = "inf" if not iv.finite else f"{iv.death:.17g}"
-            rows.append(f"{bc.degree} {iv.birth:.17g} {death}")
-    return "\n".join(rows)

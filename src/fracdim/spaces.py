@@ -1,8 +1,8 @@
 """Finite spaces the estimators work on.
 
 Point-cloud and self-similar network generators, Euclidean and
-shortest-path metrics, neighbourhoods, and seeded subsampling. All types
-are immutable after construction and safe to share across threads.
+shortest-path metrics, and seeded subsampling. All types are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import ResourceLimitError
 
 TRIANGLE_LEVEL_CAP = 12
 CANTOR_LEVEL_CAP = 20
-TRIANGLE_INEQ_TOL = 1e-9
 
 _EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -38,6 +37,10 @@ class PointCloud:
             raise ValueError("need at least one point with at least one coordinate")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite")
+        # bounds every squared distance pdist forms, in O(n * dim)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(np.ptp(pts, axis=0) ** 2)):
+                raise ValueError("pairwise distances overflow float64")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -133,18 +136,6 @@ class MetricView:
     def size(self) -> int:
         return self.dist.shape[0]
 
-    def validate_triangle(self, tol: float = TRIANGLE_INEQ_TOL) -> None:
-        """Check the triangle inequality on finite entries (O(n^3))."""
-        d = self.dist
-        for k in range(self.size):
-            via = d[:, k : k + 1] + d[k : k + 1, :]
-            if np.any(d > via + tol):
-                i, j = np.argwhere(d > via + tol)[0]
-                raise ValueError(
-                    f"triangle inequality violated: d[{i},{j}]={d[i, j]} "
-                    f"> d[{i},{k}]+d[{k},{j}]={via[i, j]}"
-                )
-
 
 @dataclass(frozen=True)
 class SierpinskiTreeParams:
@@ -159,7 +150,6 @@ class SierpinskiTreeParams:
     s: int = 3
     f: float = 0.5
     levels: int = 0
-    anchor: str = "fresh"
 
     def __post_init__(self):
         if self.s <= 1:
@@ -168,8 +158,6 @@ class SierpinskiTreeParams:
             raise ValueError("f must lie in (0, 1)")
         if self.levels < 0:
             raise ValueError("levels must be non-negative")
-        if self.anchor != "fresh":
-            raise ValueError("only the 'fresh' anchor policy is supported")
 
 
 def sierpinski_triangle(level: int) -> PointCloud:
@@ -339,22 +327,6 @@ def scale_grid(grid, name: str, increasing: bool = True) -> list:
         order = "increasing" if increasing else "decreasing"
         raise ValueError(f"{name} grid must be strictly {order}")
     return grid
-
-
-def diameter(metric: MetricView) -> float:
-    """Largest distance; inf if any pair is disconnected."""
-    if metric.size <= 1:
-        return 0.0
-    return float(np.max(metric.dist))
-
-
-def epsilon_neighbourhood(metric: MetricView, x: int, eps: float) -> set:
-    """Node ids at distance <= eps from x (always contains x)."""
-    if not (0 <= x < metric.size):
-        raise ValueError(f"node {x} outside metric of size {metric.size}")
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
-    return {int(i) for i in np.nonzero(metric.dist[x] <= eps)[0]}
 
 
 def subsample(cloud: PointCloud, n: int, seed: int) -> PointCloud:

@@ -2,8 +2,8 @@
 
 Deliberately naive implementations on separate code paths from the
 package: dense boundary-matrix reduction, loop-based counting, Prim MST,
-exhaustive minimal covers, a non-lazy greedy cover, magnitude via
-explicit matrix inversion.
+exhaustive minimal covers, a non-lazy greedy cover, a triangle-inequality
+scan, magnitude via explicit matrix inversion.
 """
 
 import heapq
@@ -111,6 +111,16 @@ def induced_diameter(net, nodes):
     for m in range(k):
         d = np.minimum(d, d[:, m : m + 1] + d[m : m + 1, :])
     return float(d.max()) if k else 0.0
+
+
+def triangle_violations(dist, tol):
+    """(i, j, k) with dist[i, j] > dist[i, k] + dist[k, j] + tol, one pass per k (O(n^3))."""
+    d = np.asarray(dist)
+    return [
+        (int(i), int(j), k)
+        for k in range(len(d))
+        for i, j in np.argwhere(d > d[:, k : k + 1] + d[k : k + 1, :] + tol)
+    ]
 
 
 def naive_greedy_cover(net, eps):

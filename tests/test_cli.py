@@ -153,6 +153,17 @@ class TestEstimate:
         assert out == ""
         assert err == "error: shortest-path distances overflow float64\n"
 
+    @pytest.mark.parametrize(
+        "estimator", ["box", "correlation", "ph-dim", "magnitude-dim", "alpha-magnitude-dim"]
+    )
+    def test_cloud_distance_overflow_exit2(self, tmp_path, capsys, estimator):
+        path = tmp_path / "far.csv"
+        path.write_text("0,0\n1e200,0\n0,1e200\n1e200,1e200\n-1e200,5e199\n")
+        code, out, err = run_cli(["estimate", estimator, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: pairwise distances overflow float64\n"
+
     def test_incompatible_pair_lists_valid_ones(self, tmp_path, capsys):
         path = tmp_path / "net.edges"
         path.write_text("0 1 1.0\n1 2 1.0\n")
@@ -248,9 +259,20 @@ class TestEstimate:
              "eps grid must be finite"),
             ("internal-scaling", ["--input", "n.edges", "--eps-min", "nan", "--eps-max", "10"],
              "eps grid must be finite"),
+            ("magnitude-dim", ["--t-max", "inf"], "--t-min, --t-max and --t-step must be finite"),
+            ("alpha-magnitude-dim", ["--t-max", "inf"],
+             "--t-min, --t-max and --t-step must be finite"),
+            ("magnitude-dim", ["--t-min", "nan"], "--t-min, --t-max and --t-step must be finite"),
+            ("alpha-magnitude-dim", ["--t-step", "inf"],
+             "--t-min, --t-max and --t-step must be finite"),
+            ("box", ["--input", "n.edges", "--eps-min", "1e-320", "--eps-max", "10"],
+             "log-log fit requires finite positive inputs"),
+            ("box", ["--eps-min", "1e-20", "--eps-max", "10"], "overflow int64"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
-             "node", "eps-nan-box", "eps-nan-internal-scaling"],
+             "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
+             "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
+             "eps-tiny-box"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message

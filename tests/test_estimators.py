@@ -82,6 +82,13 @@ class TestLogLogFit:
         with pytest.raises(ValueError):
             loglog_fit([1.0, 2.0], [1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite positive inputs"):
+            loglog_fit([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="finite positive inputs"):
+            loglog_fit([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             loglog_fit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], window=(2, 3))
@@ -94,6 +101,12 @@ class TestBoxCountingPointcloud:
         cloud = random_cloud(300, seed=3)
         for eps in (0.5, 0.21, 0.07):
             assert grid_box_count(cloud, eps) == naive_box_count(cloud.points, eps)
+
+    def test_cell_index_overflow_rejected(self):
+        cloud = PointCloud(np.random.default_rng(0).random((100, 2)))
+        assert grid_box_count(cloud, 1e-18) == naive_box_count(cloud.points, 1e-18) == 100
+        with pytest.raises(ValueError, match="overflow int64"):
+            grid_box_count(cloud, 1e-20)
 
     def test_sierpinski_level7(self):
         est = box_counting_pointcloud(sierpinski_triangle(7))
@@ -210,11 +223,6 @@ class TestPHDimension:
         cloud = sierpinski_triangle(5)
         cfg = PHDimensionConfig(n_schedule=tuple(range(5, 51, 5)), fit_tail=8, seed=7)
         assert ph_dimension(cloud, cfg) == ph_dimension(cloud, cfg)
-
-    def test_threads_do_not_change_result(self):
-        cloud = sierpinski_triangle(5)
-        cfg = PHDimensionConfig(n_schedule=tuple(range(5, 51, 5)), fit_tail=8, seed=7)
-        assert ph_dimension(cloud, cfg, threads=1) == ph_dimension(cloud, cfg, threads=4)
 
     def test_schedule_exceeding_cloud_rejected(self):
         with pytest.raises(ValueError):

@@ -105,12 +105,6 @@ class TestMagnitudeFunction:
         assert all(samples.accepted())
         assert all(r <= 1e-8 for r in samples.residuals)
 
-    def test_csv_shape(self):
-        samples = magnitude_function(two_point_metric(1.0), [1.0, 2.0])
-        lines = samples.to_csv().strip().splitlines()
-        assert lines[0] == "t,magnitude,residual"
-        assert len(lines) == 3
-
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             magnitude_function(two_point_metric(1.0), [2.0, 1.0])

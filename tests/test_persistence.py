@@ -10,7 +10,6 @@ from fracdim import (
     Interval,
     MetricView,
     PointCloud,
-    dump_barcodes,
     euclidean_metric,
     h0_union_find,
     persistence,
@@ -196,13 +195,6 @@ class TestBarcodeType:
     def test_intervals_sorted(self):
         b = Barcode(0, (Interval(0.5, 1.0), Interval(0.0, math.inf), Interval(0.0, 2.0)))
         assert [iv.birth for iv in b.intervals] == [0.0, 0.0, 0.5]
-
-    def test_dump_format(self):
-        bars = [
-            Barcode(0, (Interval(0.0, 1.5), Interval(0.0, math.inf))),
-            Barcode(1, (Interval(0.25, 0.5),)),
-        ]
-        assert dump_barcodes(bars) == "0 0 1.5\n0 0 inf\n1 0.25 0.5"
 
 
 @given(st.integers(0, 10**6))

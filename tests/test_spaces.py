@@ -13,8 +13,6 @@ from fracdim import (
     WeightedNetwork,
     cantor_set,
     derive_seed,
-    diameter,
-    epsilon_neighbourhood,
     euclidean_metric,
     line_network,
     network_diameter,
@@ -26,7 +24,7 @@ from fracdim import (
     subsample,
 )
 from fracdim import spaces
-from oracles import induced_diameter, point_in_triangle
+from oracles import induced_diameter, point_in_triangle, triangle_violations
 
 TRI = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3) / 2)]
 
@@ -102,7 +100,7 @@ class TestSierpinskiTree:
         net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, levels))
         assert net.edge_count == net.node_count - 1
         if net.node_count > 1:
-            assert math.isfinite(diameter(shortest_path_metric(net)))
+            assert math.isfinite(shortest_path_metric(net).dist.max())
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_self_similarity_witness(self, levels):
@@ -159,14 +157,14 @@ class TestShortestPathMetric:
         net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
         metric = shortest_path_metric(net)
         assert math.isinf(metric.dist[0, 2])
-        assert diameter(metric) == math.inf
+        assert metric.dist.max() == math.inf
 
     def test_triangle_inequality_exact(self, fig7_left):
-        shortest_path_metric(fig7_left).validate_triangle(tol=0.0)
+        assert triangle_violations(shortest_path_metric(fig7_left).dist, tol=0.0) == []
 
     def test_triangle_inequality_on_tree(self):
         net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
-        shortest_path_metric(net).validate_triangle(tol=0.0)
+        assert triangle_violations(shortest_path_metric(net).dist, tol=0.0) == []
 
 
 def random_connected_network(seed):
@@ -244,30 +242,6 @@ class TestNetworkDiameter:
         assert np.array_equal(rows, dense[[0, 7, net.node_count - 1]])
 
 
-class TestNeighbourhood:
-    def test_eps_zero(self, fig7_left):
-        metric = shortest_path_metric(fig7_left)
-        assert epsilon_neighbourhood(metric, 2, 0.0) == {2}
-
-    def test_line_example(self):
-        metric = shortest_path_metric(line_network(7))
-        assert epsilon_neighbourhood(metric, 3, 2.0) == {1, 2, 3, 4, 5}
-
-    def test_eps_at_diameter_covers_all(self, fig7_left):
-        metric = shortest_path_metric(fig7_left)
-        assert epsilon_neighbourhood(metric, 0, diameter(metric)) == {0, 1, 2, 3}
-
-    @given(
-        eps=st.floats(0, 5),
-        eps2=st.floats(0, 5),
-        x=st.integers(0, 6),
-    )
-    def test_monotone_in_eps(self, eps, eps2, x):
-        metric = shortest_path_metric(line_network(7))
-        lo, hi = min(eps, eps2), max(eps, eps2)
-        assert epsilon_neighbourhood(metric, x, lo) <= epsilon_neighbourhood(metric, x, hi)
-
-
 class TestMetricOps:
     def test_rescale_identity(self):
         m = euclidean_metric(PointCloud(np.array([[0.0], [1.0]])))
@@ -285,7 +259,7 @@ class TestMetricOps:
         assert a.scale == b.scale
 
     def test_diameter_line5(self):
-        assert diameter(shortest_path_metric(line_network(5))) == 4.0
+        assert shortest_path_metric(line_network(5)).dist.max() == 4.0
 
     def test_invalid_scale(self):
         m = euclidean_metric(PointCloud(np.array([[0.0], [1.0]])))
@@ -344,6 +318,14 @@ class TestValidation:
     def test_pointcloud_rejects_nan(self):
         with pytest.raises(ValueError):
             PointCloud(np.array([[0.0, np.nan]]))
+
+    def test_pointcloud_rejects_overflowing_distances(self):
+        # each axis extent squares to a finite 1e308; the sum of squares does not
+        with pytest.raises(ValueError, match="distances overflow float64"):
+            PointCloud(np.array([[0.0, 0.0], [1e154, 1e154]]))
+        with pytest.raises(ValueError, match="distances overflow float64"):
+            PointCloud(np.array([[1e200], [-1e200]]))
+        assert euclidean_metric(PointCloud(np.array([[0.0], [1e154]]))).dist[0, 1] == 1e154
 
     def test_network_rejects_self_loop(self):
         with pytest.raises(ValueError):
