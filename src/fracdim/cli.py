@@ -32,6 +32,7 @@ EXIT_USAGE = 2
 EXIT_UNDEFINED_DIMENSION = 3
 EXIT_SINGULAR_SIMILARITY = 4
 EXIT_RESOURCE_LIMIT = 5
+MAX_FLAG_ENTRIES = 10**5  # longest grid or schedule a flag may ask for
 
 
 class UsageError(FracdimError):
@@ -164,9 +165,16 @@ def _sniff_kind(path):
 # so a wrapper installed there sees the call.
 
 
+def _check_entries(flags, count):
+    """Refuse a flag-sized sequence before it is built; count may be an infinite float."""
+    if count > MAX_FLAG_ENTRIES:
+        raise ResourceLimitError(f"{flags} would give more than {MAX_FLAG_ENTRIES} entries")
+
+
 def _eps_grid(args, decreasing):
     if args.eps_count < 2:
         raise UsageError("--eps-count must be at least 2")
+    _check_entries("--eps-count", args.eps_count)
     if args.eps_min is None or args.eps_max is None:
         return None
     grid = np.geomspace(args.eps_min, args.eps_max, args.eps_count)
@@ -190,8 +198,9 @@ def _t_grid_and_window(args):
         raise UsageError("--t-step must be positive")
     if args.t_max < args.t_min:
         raise UsageError("--t-max must not lie below --t-min")
-    count = int(round((args.t_max - args.t_min) / args.t_step)) + 1
-    t_grid = [args.t_min + k * args.t_step for k in range(count)]
+    count = round((args.t_max - args.t_min) / args.t_step, 0) + 1  # a float: inf stays inf
+    _check_entries("--t-min, --t-max and --t-step", count)
+    t_grid = [args.t_min + k * args.t_step for k in range(int(count))]
     window = _window(args)
     if window is None and len(t_grid) >= 80:
         window = (40, 80)
@@ -201,6 +210,8 @@ def _t_grid_and_window(args):
 def _ph_config(args):
     if args.n_step < 1:
         raise UsageError("--n-step must be positive")
+    # len(range(...)) itself overflows past sys.maxsize entries
+    _check_entries("--n-min, --n-max and --n-step", (args.n_max - args.n_min) // args.n_step + 1)
     schedule = tuple(range(args.n_min, args.n_max + 1, args.n_step))
     return estimators.PHDimensionConfig(
         degree=args.degree,

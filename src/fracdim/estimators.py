@@ -46,8 +46,6 @@ ROW_BLOCK = 256  # Dijkstra rows held at once: all-node internal scaling, first 
 class LogLogFit:
     """Least-squares line through log-transformed samples over a window."""
 
-    xs: tuple  # log-transformed
-    ys: tuple
     window: tuple  # half-open index range [lo, hi)
     slope: float
     intercept: float
@@ -92,9 +90,7 @@ def loglog_fit(xs, ys, window=None) -> LogLogFit:
     lo, hi = int(window[0]), int(window[1])
     if not (0 <= lo < hi <= len(xs)) or hi - lo < 2:
         raise ValueError(f"window {window} invalid for {len(xs)} samples")
-    lx = np.log(xs)
-    ly = np.log(ys)
-    wx, wy = lx[lo:hi], ly[lo:hi]
+    wx, wy = np.log(xs[lo:hi]), np.log(ys[lo:hi])
     slope, intercept = np.polyfit(wx, wy, 1)
     resid = wy - (slope * wx + intercept)
     ss_res = float(np.sum(resid**2))
@@ -103,7 +99,7 @@ def loglog_fit(xs, ys, window=None) -> LogLogFit:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:
         r2 = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return LogLogFit(tuple(lx), tuple(ly), (lo, hi), float(slope), float(intercept), r2)
+    return LogLogFit((lo, hi), float(slope), float(intercept), r2)
 
 
 def _geometric_grid(hi, lo, count=12, decreasing=True):

@@ -22,9 +22,17 @@ DEFAULT_SIMPLEX_CAP = 50_000_000
 def simplex_cap() -> int:
     """Resource cap on simplex counts; FRACDIM_MAX_SIMPLICES overrides."""
     env = os.environ.get("FRACDIM_MAX_SIMPLICES")
-    if env:
-        return int(float(env))
-    return DEFAULT_SIMPLEX_CAP
+    if not env:
+        return DEFAULT_SIMPLEX_CAP
+    try:
+        cap = float(env)
+    except ValueError:
+        cap = math.nan
+    if not 0 <= cap < math.inf:
+        raise ValueError(
+            f"FRACDIM_MAX_SIMPLICES must be a finite non-negative number, got {env!r}"
+        )
+    return int(cap)
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class FilteredComplex:
 
 
 def vietoris_rips(
-    metric: MetricView, max_dim: int, max_scale: float = math.inf, cap: int = None
+    metric: MetricView, max_dim: int, max_scale: float = math.inf
 ) -> FilteredComplex:
     """Vietoris-Rips complex: simplices whose pairwise distances are <= max_scale.
 
@@ -101,8 +109,7 @@ def vietoris_rips(
     n = metric.size
     if not (0 <= max_dim <= max(n - 1, 0)):
         raise ValueError(f"max_dim must lie in [0, {n - 1}]")
-    if cap is None:
-        cap = simplex_cap()
+    cap = simplex_cap()
     d = metric.dist
     lower = [
         [u for u in range(v) if d[u, v] <= max_scale and math.isfinite(d[u, v])]

@@ -1,7 +1,8 @@
 """Persistence barcodes of filtered complexes.
 
-Boundary-matrix reduction over the 2-element field with the clearing
-(twist) optimisation, and a union-find fast path for degree 0.
+Boundary-matrix reduction over the 2-element field, with each column
+an integer bitset and the clearing (twist) optimisation, and a
+union-find fast path for degree 0.
 """
 
 from __future__ import annotations
@@ -58,87 +59,46 @@ class Barcode:
         return tuple(i for i in self.intervals if i.finite)
 
 
-def _xor_columns(a, b):
-    out = []
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        if a[ia] == b[ib]:
-            ia += 1
-            ib += 1
-        elif a[ia] < b[ib]:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return out
-
-
 def persistence(complex: FilteredComplex, max_degree: int) -> list:
     """Barcodes in degrees 0..max_degree, coefficients in the 2-element field.
 
-    Zero-length intervals are discarded. Deterministic given the
-    complex's simplex order.
+    Each boundary column is a Python int: bit k marks the k-th simplex
+    one dimension down, in filtration order, so adding a column is one
+    XOR and its pivot is the highest set bit. Dimensions are reduced from
+    the top down with clearing. Zero-length intervals are discarded.
+    Deterministic given the complex's simplex order.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     cutoff = max_degree + 1
-    sims = [s for s in complex.simplices if s.dim <= cutoff]
-    index = {s.vertices: i for i, s in enumerate(sims)}
-    dims = [s.dim for s in sims]
-    values = [s.value for s in sims]
+    layers = [[] for _ in range(cutoff + 1)]
+    for s in complex.simplices:
+        if s.dim <= cutoff:
+            layers[s.dim].append(s)
 
-    def boundary(j):
-        verts = sims[j].vertices
-        if len(verts) == 1:
-            return []
-        return sorted(index[verts[:k] + verts[k + 1 :]] for k in range(len(verts)))
-
-    pivot = {}  # pivot row -> owning column
-    stored = {}  # column -> reduced column (sorted rows)
-    pairs = {}  # birth row -> death column
-    zero_cols = set()
-
-    def reduce_column(j):
-        col = boundary(j)
-        while col:
-            owner = pivot.get(col[-1])
-            if owner is None:
-                break
-            col = _xor_columns(col, stored[owner])
-        if col:
-            low = col[-1]
-            pivot[low] = j
-            stored[j] = col
-            pairs[low] = j
-            return low
-        zero_cols.add(j)
-        return None
-
-    # clearing: top dimension first; a column whose index is a pivot row reduces to zero
-    cleared = set()
-    for d in range(max(dims, default=0), 0, -1):
-        for j in range(len(sims)):
-            if dims[j] != d or j in cleared:
+    intervals = [[] for _ in range(cutoff)]
+    births = {}  # simplices of dimension d that are pivot rows in dimension d + 1
+    for d in range(cutoff, -1, -1):
+        faces = layers[d - 1] if d else []
+        row = {s.vertices: k for k, s in enumerate(faces)}
+        pivot = {}  # low row -> reduced column that owns it
+        for j, s in enumerate(layers[d]):
+            if j in births:  # clearing: a birth column reduces to zero
                 continue
-            low = reduce_column(j)
-            if low is not None:
-                cleared.add(low)
-    zero_cols.update(j for j in range(len(sims)) if dims[j] == 0)
-
-    intervals = {d: [] for d in range(max_degree + 1)}
-    for i, j in pairs.items():
-        d = dims[i]
-        if d <= max_degree and values[j] > values[i]:
-            intervals[d].append(Interval(values[i], values[j]))
-    for i in zero_cols:
-        if i in pairs:
-            continue
-        d = dims[i]
-        if d <= max_degree:
-            intervals[d].append(Interval(values[i], math.inf))
+            v = s.vertices
+            col = 0
+            for k in range(len(v) if d else 0):
+                col |= 1 << row[v[:k] + v[k + 1 :]]
+            while col and (owner := pivot.get(col.bit_length() - 1)) is not None:
+                col ^= owner
+            if col:
+                low = col.bit_length() - 1
+                pivot[low] = col
+                if s.value > faces[low].value:
+                    intervals[d - 1].append(Interval(faces[low].value, s.value))
+            elif d < cutoff:
+                intervals[d].append(Interval(s.value, math.inf))
+        births = pivot
 
     return [
         Barcode(

@@ -232,6 +232,45 @@ class TestEstimate:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("cap", ["inf", "1e400", "-5", "abc"])
+    def test_bad_simplex_cap_exit2(self, tmp_path, capsys, monkeypatch, cap):
+        monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", cap)
+        path = tmp_path / "s.csv"
+        save_pointcloud(sierpinski_triangle(2), path)
+        code, out, err = run_cli(
+            [
+                "estimate", "ph-dim", "--input", str(path),
+                "--degree", "1",
+                "--n-min", "5", "--n-max", "9", "--n-step", "1", "--fit-tail", "3",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: FRACDIM_MAX_SIMPLICES must be")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "estimator, flags",
+        [
+            ("magnitude-dim", ["--t-max", "1e300", "--t-step", "1e-300"]),
+            ("magnitude-dim", ["--t-max", "1e12"]),
+            ("box", ["--eps-count", "1000000000"]),
+            ("ph-dim", ["--n-max", "1000000000000"]),
+            ("ph-dim", ["--n-max", str(10**30)]),
+        ],
+        ids=["t-grid-infinite", "t-max", "eps-count", "n-max", "n-max-past-maxsize"],
+    )
+    def test_flag_sized_sequence_over_cap_exit5(self, tmp_path, capsys, estimator, flags):
+        # the count is checked before the sequence exists, so each case returns at once
+        path = tmp_path / "s.csv"
+        save_pointcloud(sierpinski_triangle(2), path)
+        code, out, err = run_cli(["estimate", estimator, "--input", str(path), *flags], capsys)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "more than 100000 entries" in err
+
     def test_csv_format(self, tmp_path, capsys):
         path = tmp_path / "s.csv"
         save_pointcloud(sierpinski_triangle(5), path)

@@ -73,16 +73,23 @@ class TestVietorisRips:
         complex = vietoris_rips(MetricView(d), 1)
         assert all(s.dim == 0 for s in complex.simplices)
 
-    def test_resource_cap(self, random_cloud):
+    def test_resource_cap(self, random_cloud, monkeypatch):
+        monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", "100")
         cloud = random_cloud(12)
         with pytest.raises(ResourceLimitError):
-            vietoris_rips(euclidean_metric(cloud), 11, cap=100)
+            vietoris_rips(euclidean_metric(cloud), 11)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", "123")
         assert simplex_cap() == 123
         monkeypatch.delenv("FRACDIM_MAX_SIMPLICES")
         assert simplex_cap() == 50_000_000
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-5", "abc"])
+    def test_cap_env_rejects_non_finite_or_negative(self, monkeypatch, value):
+        monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", value)
+        with pytest.raises(ValueError, match="FRACDIM_MAX_SIMPLICES must be"):
+            simplex_cap()
 
     def test_rescaling_equivariance(self, random_cloud):
         cloud = random_cloud(10, seed=5)

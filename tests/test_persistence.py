@@ -14,6 +14,7 @@ from fracdim import (
     h0_union_find,
     persistence,
     rescale,
+    sierpinski_triangle,
     vietoris_rips,
 )
 from oracles import naive_persistence_pairs
@@ -123,10 +124,14 @@ class TestAgainstNaiveReduction:
                 (iv.birth, iv.death) for iv in got[degree].intervals
             ) == pytest.approx(expected[degree])
 
-    @pytest.mark.parametrize("seed", range(5))
+    # seeded uniform clouds have no tied distances; the 9-point Sierpinski
+    # triangle ties heavily, so the filtration order decides the pairing
+    @pytest.mark.parametrize("seed", [*range(5), "sierpinski-2"])
     def test_clearing_matches_naive_reduction(self, seed):
-        rng = np.random.default_rng(seed + 100)
-        cloud = PointCloud(rng.random((10, 3)))
+        if seed == "sierpinski-2":
+            cloud = sierpinski_triangle(2)
+        else:
+            cloud = PointCloud(np.random.default_rng(seed + 100).random((10, 3)))
         complex = vietoris_rips(euclidean_metric(cloud), 3)
         expected = naive_persistence_pairs(complex, 2)
         got = persistence(complex, 2)
