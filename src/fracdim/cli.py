@@ -43,7 +43,7 @@ class UsageError(FracdimError):
 _EXIT_CODES = (
     (UndefinedDimensionError, EXIT_UNDEFINED_DIMENSION),
     (SingularSimilarityError, EXIT_SINGULAR_SIMILARITY),
-    (ResourceLimitError, EXIT_RESOURCE_LIMIT),
+    ((ResourceLimitError, MemoryError), EXIT_RESOURCE_LIMIT),
     ((FracdimError, ValueError, OSError), EXIT_USAGE),
 )
 
@@ -210,8 +210,9 @@ def _t_grid_and_window(args):
 def _ph_config(args):
     if args.n_step < 1:
         raise UsageError("--n-step must be positive")
-    # len(range(...)) itself overflows past sys.maxsize entries
-    _check_entries("--n-min, --n-max and --n-step", (args.n_max - args.n_min) // args.n_step + 1)
+    # len(range(...)) itself overflows past sys.maxsize entries; each size runs --repeats times
+    count = ((args.n_max - args.n_min) // args.n_step + 1) * max(args.repeats, 1)
+    _check_entries("--n-min, --n-max, --n-step and --repeats", count)
     schedule = tuple(range(args.n_min, args.n_max + 1, args.n_step))
     return estimators.PHDimensionConfig(
         degree=args.degree,
@@ -437,8 +438,8 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_bench(args)
-    except (FracdimError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (FracdimError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 

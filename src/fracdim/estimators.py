@@ -215,6 +215,8 @@ def _connected_diameter(net: WeightedNetwork) -> float:
     """Shortest-path diameter; ValueError unless the network is connected and it is finite."""
     if net.node_count == 0:
         raise ValueError("network has no nodes")
+    if net.node_count > net.edge_count + 1:  # too few edges to connect every node
+        raise ValueError("connected network required")
     diam = network_diameter(net)
     if math.isinf(diam):
         if not is_connected(net):

@@ -1,15 +1,16 @@
 """Filtered simplicial complexes.
 
 Two constructions: Vietoris-Rips over any metric view and alpha
-complexes over planar point clouds. Both produce a FilteredComplex sorted
-by (value, dimension, vertices) and closed under faces.
+complexes over planar point clouds. Both produce a FilteredComplex: per
+dimension, vertex rows and values sorted by (value, vertices), with the
+row of every face in the layer below.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,65 +36,109 @@ def simplex_cap() -> int:
     return int(cap)
 
 
-@dataclass(frozen=True)
-class Simplex:
+class Simplex(NamedTuple):
+    """One simplex as a plain record: increasing vertex ids and its value."""
+
     vertices: tuple
     value: float
-
-    def __post_init__(self):
-        verts = tuple(int(v) for v in self.vertices)
-        if not verts or any(b <= a for a, b in zip(verts, verts[1:])):
-            raise ValueError("vertices must be non-empty and strictly increasing")
-        if not (self.value >= 0 and math.isfinite(self.value)):
-            raise ValueError("filtration value must be finite and non-negative")
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "value", float(self.value))
 
     @property
     def dim(self) -> int:
         return len(self.vertices) - 1
 
 
-@dataclass(frozen=True)
+def _lookup(index, keys):
+    """Rows of keys in a layer index (sorted keys, row of each key); -1 where absent."""
+    sorted_keys, rows = index  # a sentinel at the end keeps every position in range
+    pos = np.searchsorted(sorted_keys, keys)
+    return np.where(sorted_keys[pos] == keys, rows[pos], -1)
+
+
+def _reject(problem, flagged):
+    """ValueError naming the first of the flagged simplices (vertex rows), if any."""
+    if len(flagged):
+        raise ValueError(f"{problem} {tuple(flagged[0].tolist())}")
+
+
 class FilteredComplex:
-    """Simplices with filtration values, sorted and face-closed."""
+    """Simplices with filtration values, one layer per dimension, closed under faces.
 
-    simplices: tuple
-    max_dim: int
+    Layer d: read-only `vertices[d]`, int64 rows (m_d, d + 1) of strictly
+    increasing vertex ids, and `values[d]`, float64 (m_d,), sorted by
+    (value, vertices); `faces[d][j, k]` is the row in layer d - 1 of
+    simplex j without its k-th vertex. Faces are found once by integer
+    keys: a vertex's id, else the rows of the face without the last vertex
+    and of that vertex. Invalid layers raise ValueError.
+    """
 
-    def __post_init__(self):
-        sims = sorted(self.simplices, key=lambda s: (s.value, s.dim, s.vertices))
-        object.__setattr__(self, "simplices", tuple(sims))
-        self._check_face_closure()
+    def __init__(self, vertices, values):
+        if not len(vertices) or len(vertices) != len(values):
+            raise ValueError("need one values array per vertex layer, and at least one layer")
+        layers, index = [], []  # index: per layer, (sorted keys, row of each key)
+        for d, (verts, vals) in enumerate(zip(vertices, values)):
+            verts, vals = np.asarray(verts, np.int64), np.asarray(vals, np.float64)
+            if verts.ndim != 2 or verts.shape[1] != d + 1 or vals.shape != (len(verts),):
+                raise ValueError(f"layer {d} needs vertex rows of shape (m, {d + 1}) and m values")
+            _reject("vertices not strictly increasing in", verts[np.any(np.diff(verts) <= 0, 1)])
+            _reject("negative or non-finite value at", verts[~(np.isfinite(vals) & (vals >= 0))])
+            order = np.lexsort((*verts.T[::-1], vals))
+            verts, vals = verts[order], vals[order]
+            faces, keys = np.empty((len(verts), 0), np.int64), verts[:, 0]
+            if d:
+                vertex_rows = _lookup(index[0], verts)
+                _reject("missing vertex of", verts[np.any(vertex_rows < 0, 1)])
+                m = [len(layer[1]) for layer in layers]
+                faces = np.empty_like(verts)
+                for k in range(d + 1):
+                    cols = np.delete(vertex_rows, k, axis=1)
+                    faces[:, k] = cols[:, 0]
+                    for i in range(1, d):  # row of cols[:, :i + 1] in layer i
+                        key = np.ravel_multi_index((faces[:, k], cols[:, i]), (m[i - 1], m[0]))
+                        faces[:, k] = _lookup(index[i], key)
+                        _reject(f"missing face without vertex {k} of", verts[faces[:, k] < 0])
+                above = np.any(layers[d - 1][1][faces] > vals[:, None], 1)
+                _reject("face above coface", verts[above])
+                keys = np.ravel_multi_index((faces[:, d], vertex_rows[:, d]), (m[d - 1], m[0]))
+            rows = np.argsort(keys, kind="stable")
+            keys = keys[rows]
+            _reject("duplicate simplex", verts[rows[1:][keys[1:] == keys[:-1]]])
+            index.append((np.append(keys, np.iinfo(np.int64).max), np.append(rows, -1)))
+            layers.append((verts, vals, faces))
+        for array in (a for layer in layers for a in layer):
+            array.setflags(write=False)
+        self.vertices, self.values, self.faces = map(tuple, zip(*layers))
 
-    def _check_face_closure(self):
-        values = {}
-        for s in self.simplices:
-            if s.vertices in values:
-                raise ValueError(f"duplicate simplex {s.vertices}")
-            values[s.vertices] = s.value
-        for s in self.simplices:
-            if s.dim == 0:
-                continue
-            for k in range(len(s.vertices)):
-                face = s.vertices[:k] + s.vertices[k + 1 :]
-                fv = values.get(face)
-                if fv is None:
-                    raise ValueError(f"missing face {face} of {s.vertices}")
-                if fv > s.value:
-                    raise ValueError(
-                        f"face {face}@{fv} above coface {s.vertices}@{s.value}"
-                    )
+    @property
+    def max_dim(self) -> int:
+        return len(self.vertices) - 1
+
+    @property
+    def simplices(self) -> tuple:
+        """Every simplex as a `Simplex`, sorted by (value, dimension, vertices)."""
+        records = [Simplex(tuple(v), x) for verts, vals in zip(self.vertices, self.values)
+                   for v, x in zip(verts.tolist(), vals.tolist())]
+        return tuple(sorted(records, key=lambda s: (s.value, s.dim, s.vertices)))
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return sum(len(vals) for vals in self.values)
 
     def dump(self) -> str:
-        """Debug format: one 'v0,v1,...:value' line per simplex, sorted as stored."""
-        return "\n".join(
-            ",".join(str(v) for v in s.vertices) + f":{s.value:.17g}"
-            for s in self.simplices
-        )
+        """Debug format: one 'v0,v1,...:value' line per simplex, in `simplices` order."""
+        return "\n".join(f"{','.join(map(str, s.vertices))}:{s.value:.17g}" for s in self.simplices)
+
+
+_BLOCK_CELLS = 1 << 22  # candidate-mask entries held at a time
+
+
+def _cofaces(upper, layer):
+    """Blocks (first, mask): mask[r, u] when u is an upper neighbour of all of simplex first + r."""
+    block = max(1, _BLOCK_CELLS // max(len(upper), 1))
+    for first in range(0, len(layer), block):
+        rows = layer[first : first + block]
+        mask = np.ones((len(rows), len(upper)), dtype=bool)
+        for col in rows.T:
+            mask &= upper[col]
+        yield first, mask
 
 
 def vietoris_rips(
@@ -101,82 +146,37 @@ def vietoris_rips(
 ) -> FilteredComplex:
     """Vietoris-Rips complex: simplices whose pairwise distances are <= max_scale.
 
-    Simplex value = largest pairwise distance (0 for vertices). Pairs at
-    infinite distance never form an edge. Cliques of size <= max_dim + 1
-    are enumerated by incremental expansion over lower neighbours, without
-    materialising the 2^n blow-up.
+    Simplex value = largest pairwise distance (0 for vertices); pairs at
+    infinite distance never form an edge. Layer d + 1 adds to each simplex
+    of layer d every common upper neighbour of its vertices, and is counted
+    against the simplex cap before it is allocated.
     """
     n = metric.size
     if not (0 <= max_dim <= max(n - 1, 0)):
         raise ValueError(f"max_dim must lie in [0, {n - 1}]")
     cap = simplex_cap()
     d = metric.dist
-    lower = [
-        [u for u in range(v) if d[u, v] <= max_scale and math.isfinite(d[u, v])]
-        for v in range(n)
-    ]
-    lower_sets = [set(l) for l in lower]
-    sims = []
-
-    def add_cofaces(tau, value, candidates):
-        if len(sims) >= cap:
-            raise ResourceLimitError(
-                f"simplex count exceeds cap {cap}; raise FRACDIM_MAX_SIMPLICES "
-                "or lower max_dim/max_scale"
-            )
-        sims.append(Simplex(tau, value))
-        if len(tau) - 1 >= max_dim:
-            return
-        for u in candidates:
-            val = value
-            for w in tau:
-                val = max(val, d[u, w])
-            add_cofaces((u, *tau), val, [x for x in candidates if x in lower_sets[u]])
-
-    for v in range(n):
-        add_cofaces((v,), 0.0, lower[v])
-    return FilteredComplex(tuple(sims), max_dim)
-
-
-def _circumcircle(a, b, c):
-    """Centre and radius of the circle through three planar points."""
-    ax, ay = a
-    bx, by = b
-    cx, cy = c
-    den = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if den == 0.0:
-        return None, math.inf
-    ux = (
-        (ax * ax + ay * ay) * (by - cy)
-        + (bx * bx + by * by) * (cy - ay)
-        + (cx * cx + cy * cy) * (ay - by)
-    ) / den
-    uy = (
-        (ax * ax + ay * ay) * (cx - bx)
-        + (bx * bx + by * by) * (ax - cx)
-        + (cx * cx + cy * cy) * (bx - ax)
-    ) / den
-    centre = np.array([ux, uy])
-    return centre, float(np.hypot(*(a - centre)))
-
-
-def _collinear_alpha(points):
-    """Alpha complex of collinear points: path of edges at half-gap values."""
-    direction = points[-1] - points[0]
-    for row in points[1:]:
-        d = row - points[0]
-        if np.hypot(*d) > 0:
-            direction = d
-            break
-    proj = points @ direction
-    order = np.argsort(proj, kind="stable")
-    sims = [Simplex((int(i),), 0.0) for i in range(len(points))]
-    top = 0
-    for a, b in zip(order, order[1:]):
-        gap = float(np.hypot(*(points[a] - points[b])))
-        sims.append(Simplex(tuple(sorted((int(a), int(b)))), gap / 2.0))
-        top = 1
-    return FilteredComplex(tuple(sims), top)
+    upper = np.triu(np.isfinite(d) & (d <= max_scale), 1)
+    layer, below = np.empty((1, 0), np.int64), np.zeros(1)  # empty simplex: cofaces = vertices
+    layers, total = [], 0
+    for dim in range(max_dim + 1):
+        count = sum(int(np.count_nonzero(mask)) for _, mask in _cofaces(upper, layer))
+        total += count
+        if total > cap:
+            raise ResourceLimitError(f"simplex count exceeds cap {cap}; raise "
+                                     "FRACDIM_MAX_SIMPLICES or lower max_dim/max_scale")
+        verts, vals, at = np.empty((count, dim + 1), np.int64), np.empty(count), 0
+        for first, mask in _cofaces(upper, layer):
+            r, u = np.nonzero(mask)
+            rows, span = layer[first + r], slice(at, at + len(r))
+            verts[span, :-1], verts[span, -1] = rows, u
+            vals[span] = below[first + r]
+            for col in rows.T:
+                vals[span] = np.maximum(vals[span], d[col, u])
+            at += len(r)
+        layers.append((verts, vals))
+        layer, below = verts, vals
+    return FilteredComplex(*zip(*layers))
 
 
 def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
@@ -193,11 +193,16 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     if len(np.unique(pts, axis=0)) != cloud.n:
         raise ValueError("duplicate points")
     if cloud.n == 1:
-        return FilteredComplex((Simplex((0,), 0.0),), 0)
-
-    centred = pts - pts[0]
-    if cloud.n == 2 or np.linalg.matrix_rank(centred, tol=1e-12) < 2:
-        return _collinear_alpha(pts)
+        return FilteredComplex(([[0]],), ([0.0],))
+    if cloud.n == 2 or np.linalg.matrix_rank(pts - pts[0], tol=1e-12) < 2:
+        # collinear: a path of edges at half-gap values, ordered along the
+        # line through the first two points (distinct, as checked above)
+        order = np.argsort(pts @ (pts[1] - pts[0]), kind="stable")
+        gaps = np.hypot(*(pts[order[:-1]] - pts[order[1:]]).T)
+        return FilteredComplex(
+            (np.arange(cloud.n)[:, None], np.sort(np.c_[order[:-1], order[1:]], axis=1)),
+            (np.zeros(cloud.n), gaps / 2.0),
+        )
 
     from scipy.spatial import Delaunay, QhullError
 
@@ -208,33 +213,32 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     if tri.coplanar.size:
         raise DegenerateInputError("Delaunay triangulation dropped input points")
 
-    tri_value = {}
-    edge_cofaces = {}
-    for simplex in tri.simplices:
-        i, j, k = sorted(int(x) for x in simplex)
-        _, radius = _circumcircle(pts[i], pts[j], pts[k])
-        tri_value[(i, j, k)] = radius
-        for edge, opposite in (((i, j), k), ((i, k), j), ((j, k), i)):
-            edge_cofaces.setdefault(edge, []).append(opposite)
+    tris = np.sort(tri.simplices, axis=1).astype(np.int64)
+    (ax, ay), (bx, by), (cx, cy) = (pts[tris[:, k]].T for k in range(3))
+    den = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    sa, sb, sc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = (sa * (by - cy) + sb * (cy - ay) + sc * (ay - by)) / den
+        uy = (sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax)) / den
+    radius = np.where(den == 0.0, np.inf, np.hypot(ax - ux, ay - uy))  # circumradius
 
-    edge_value = {}
-    for (a, b), opposites in edge_cofaces.items():
-        mid = (pts[a] + pts[b]) / 2.0
-        r = float(np.hypot(*(pts[a] - pts[b]))) / 2.0
-        gabriel = all(float(np.hypot(*(pts[w] - mid))) >= r for w in opposites)
-        # coface circumradii are >= r for Gabriel edges up to rounding at
-        # right-angle ties, so the min keeps the filtration monotone
-        candidates = [tri_value[tuple(sorted((a, b, w)))] for w in opposites]
-        if gabriel:
-            candidates.append(r)
-        value = min(candidates)
-        # only zero-area (collinear) cofaces: Qhull slivers along the hull
-        edge_value[(a, b)] = value if math.isfinite(value) else r
-
-    sims = [Simplex((i,), 0.0) for i in range(cloud.n)]
-    for (i, j, k), radius in tri_value.items():
-        if not math.isfinite(radius):  # zero area: enters with its last edge
-            radius = max(edge_value[(i, j)], edge_value[(i, k)], edge_value[(j, k)])
-        sims.append(Simplex((i, j, k), radius))
-    sims.extend(Simplex(edge, value) for edge, value in edge_value.items())
-    return FilteredComplex(tuple(sims), 2)
+    # one row per (edge, triangle) incidence, triangle by triangle in each third
+    ends = np.concatenate((tris[:, [0, 1]], tris[:, [0, 2]], tris[:, [1, 2]]))
+    opposite = np.concatenate((tris[:, 2], tris[:, 1], tris[:, 0]))
+    half = np.hypot(*(pts[ends[:, 0]] - pts[ends[:, 1]]).T) / 2.0
+    mid = (pts[ends[:, 0]] + pts[ends[:, 1]]) / 2.0
+    encroaching = np.hypot(*(pts[opposite] - mid).T) < half
+    _, first, edge = np.unique(ends @ [cloud.n, 1], return_index=True, return_inverse=True)
+    value = np.full(len(first), np.inf)
+    np.minimum.at(value, edge, np.tile(radius, 3))
+    encroached = np.bincount(edge, encroaching, len(first)) > 0
+    # coface circumradii are >= the half-length for Gabriel edges up to
+    # rounding at right-angle ties, so the min keeps the filtration monotone
+    value = np.where(encroached, value, np.minimum(value, half[first]))
+    # only zero-area (collinear) cofaces: Qhull slivers along the hull
+    value = np.where(np.isfinite(value), value, half[first])
+    # a zero-area triangle enters with its last edge
+    radius = np.where(np.isfinite(radius), radius, value[edge].reshape(3, -1).max(axis=0))
+    return FilteredComplex(
+        (np.arange(cloud.n)[:, None], ends[first], tris), (np.zeros(cloud.n), value, radius)
+    )

@@ -77,6 +77,8 @@ def load_network(path) -> WeightedNetwork:
                 raise ParseError(path, line_no, "node ids must be base-10 integers") from None
             if u < 0 or v < 0:
                 raise ParseError(path, line_no, "node ids must be non-negative")
+            if max(u, v) >= 2**63 - 1:  # node_count = max id + 1 is an int64 too
+                raise ParseError(path, line_no, "node ids must fit in int64")
             try:
                 w = float(fields[2])
             except ValueError:

@@ -15,6 +15,8 @@ import numpy as np
 from .filtration import FilteredComplex
 from .spaces import MetricView
 
+FACE_BLOCK = 1 << 16  # face rows turned into Python ints at a time
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -62,51 +64,39 @@ class Barcode:
 def persistence(complex: FilteredComplex, max_degree: int) -> list:
     """Barcodes in degrees 0..max_degree, coefficients in the 2-element field.
 
-    Each boundary column is a Python int: bit k marks the k-th simplex
-    one dimension down, in filtration order, so adding a column is one
-    XOR and its pivot is the highest set bit. Dimensions are reduced from
-    the top down with clearing. Zero-length intervals are discarded.
-    Deterministic given the complex's simplex order.
+    Each column is a Python int whose bit k marks face row k in the layer
+    below: adding a column is one XOR, its pivot the highest set bit.
+    Dimensions are reduced top down with clearing; zero-length intervals
+    are discarded. A degree is `death_complete` only with a layer above it.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     cutoff = max_degree + 1
-    layers = [[] for _ in range(cutoff + 1)]
-    for s in complex.simplices:
-        if s.dim <= cutoff:
-            layers[s.dim].append(s)
-
     intervals = [[] for _ in range(cutoff)]
     births = {}  # simplices of dimension d that are pivot rows in dimension d + 1
-    for d in range(cutoff, -1, -1):
-        faces = layers[d - 1] if d else []
-        row = {s.vertices: k for k, s in enumerate(faces)}
+    for d in range(min(cutoff, complex.max_dim), -1, -1):
+        below = complex.values[d - 1].tolist() if d else []
         pivot = {}  # low row -> reduced column that owns it
-        for j, s in enumerate(layers[d]):
-            if j in births:  # clearing: a birth column reduces to zero
-                continue
-            v = s.vertices
-            col = 0
-            for k in range(len(v) if d else 0):
-                col |= 1 << row[v[:k] + v[k + 1 :]]
-            while col and (owner := pivot.get(col.bit_length() - 1)) is not None:
-                col ^= owner
-            if col:
-                low = col.bit_length() - 1
-                pivot[low] = col
-                if s.value > faces[low].value:
-                    intervals[d - 1].append(Interval(faces[low].value, s.value))
-            elif d < cutoff:
-                intervals[d].append(Interval(s.value, math.inf))
+        values = complex.values[d].tolist()
+        for start in range(0, len(values), FACE_BLOCK):
+            for j, rows in enumerate(complex.faces[d][start : start + FACE_BLOCK].tolist(), start):
+                if j in births:  # clearing: a birth column reduces to zero
+                    continue
+                col = sum(1 << r for r in rows)  # the face rows are distinct
+                while col and (owner := pivot.get(col.bit_length() - 1)) is not None:
+                    col ^= owner
+                if col:
+                    low = col.bit_length() - 1
+                    pivot[low] = col
+                    if values[j] > below[low]:
+                        intervals[d - 1].append(Interval(below[low], values[j]))
+                elif d < cutoff:
+                    intervals[d].append(Interval(values[j], math.inf))
         births = pivot
 
     return [
-        Barcode(
-            d,
-            tuple(intervals[d]),
-            death_complete=(d < max_degree or complex.max_dim >= max_degree + 1),
-        )
-        for d in range(max_degree + 1)
+        Barcode(d, tuple(intervals[d]), death_complete=complex.max_dim > d)
+        for d in range(cutoff)
     ]
 
 

@@ -144,6 +144,32 @@ class TestEstimate:
         assert code == 2
         assert "connected" in err
 
+    @pytest.mark.parametrize(
+        "estimator, line, code, message",
+        [
+            ("box", "0 1000000000000 1", 2, "connected network required"),
+            ("internal-scaling", "0 1000000000000 1", 2, "connected network required"),
+            ("magnitude-dim", "0 1000000000000 1", 5, "error: "),
+            ("box", "0 99999999999999999999 1", 2, "node ids must fit in int64"),
+            ("internal-scaling", "0 99999999999999999999 1", 2, "node ids must fit in int64"),
+            ("magnitude-dim", "0 99999999999999999999 1", 2, "node ids must fit in int64"),
+        ],
+        ids=["box-1e12", "internal-scaling-1e12", "magnitude-1e12",
+             "box-1e20", "internal-scaling-1e20", "magnitude-1e20"],
+    )
+    def test_huge_node_ids_refused_in_one_line(
+        self, tmp_path, capsys, estimator, line, code, message
+    ):
+        # 10^12 + 1 nodes: box and internal scaling refuse on the edge count, and
+        # magnitude-dim's 8 TB source array fails to allocate; ids past int64 fail to parse
+        path = tmp_path / "huge.edges"
+        path.write_text(line + "\n")
+        got, out, err = run_cli(["estimate", estimator, "--input", str(path)], capsys)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert message in err and err.strip() != "error:"
+
     @pytest.mark.parametrize("estimator", ["box", "internal-scaling"])
     def test_network_distance_overflow_exit2(self, tmp_path, capsys, estimator):
         path = tmp_path / "net.edges"
@@ -258,8 +284,9 @@ class TestEstimate:
             ("box", ["--eps-count", "1000000000"]),
             ("ph-dim", ["--n-max", "1000000000000"]),
             ("ph-dim", ["--n-max", str(10**30)]),
+            ("ph-dim", ["--repeats", "1000000000"]),
         ],
-        ids=["t-grid-infinite", "t-max", "eps-count", "n-max", "n-max-past-maxsize"],
+        ids=["t-grid-infinite", "t-max", "eps-count", "n-max", "n-max-past-maxsize", "repeats"],
     )
     def test_flag_sized_sequence_over_cap_exit5(self, tmp_path, capsys, estimator, flags):
         # the count is checked before the sequence exists, so each case returns at once

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,19 @@ class TestVietorisRips:
         cloud = random_cloud(12)
         with pytest.raises(ResourceLimitError):
             vietoris_rips(euclidean_metric(cloud), 11)
+
+    def test_resource_cap_fires_before_the_layer_exists(self, monkeypatch):
+        # 2000 points have 1,999,000 edges: over the cap, and 48 MB as arrays
+        monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", str(10**6))
+        metric = euclidean_metric(PointCloud(np.random.default_rng(0).random((2000, 2))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                vietoris_rips(metric, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2000**2  # a few n x n boolean masks, no simplex arrays
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", "123")
@@ -190,43 +204,77 @@ class TestAlphaComplex:
 
 class TestFilteredComplex:
     def test_sorted_by_value_dim_vertices(self, random_cloud):
-        complex = vietoris_rips(euclidean_metric(random_cloud(9, seed=4)), 2)
-        keys = [(s.value, s.dim, s.vertices) for s in complex.simplices]
-        assert keys == sorted(keys)
+        # Sierpinski-2 at max_dim 3 has many equal values
+        for cloud, max_dim in ((random_cloud(9, seed=4), 2), (sierpinski_triangle(2), 3)):
+            complex = vietoris_rips(euclidean_metric(cloud), max_dim)
+            keys = [(s.value, s.dim, s.vertices) for s in complex.simplices]
+            assert keys == sorted(keys)
+            assert len(set(keys)) == len(complex)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: vietoris_rips(euclidean_metric(sierpinski_triangle(2)), 3),
+            lambda: vietoris_rips(euclidean_metric(subsample(sierpinski_triangle(5), 12, 3)), 4),
+            lambda: alpha_complex_2d(subsample(sierpinski_triangle(6), 60, 1)),
+            lambda: alpha_complex_2d(PointCloud(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0]]))),
+        ],
+        ids=["vr-sierpinski-2", "vr-12-points", "alpha-60", "alpha-collinear"],
+    )
+    def test_face_rows_name_exactly_the_faces(self, build):
+        complex = build()
+        assert complex.faces[0].shape == (len(complex.vertices[0]), 0)
+        for d in range(1, complex.max_dim + 1):
+            below = [tuple(v) for v in complex.vertices[d - 1].tolist()]
+            for verts, rows in zip(complex.vertices[d].tolist(), complex.faces[d].tolist()):
+                expected = [tuple(verts[:k] + verts[k + 1 :]) for k in range(d + 1)]
+                assert [below[r] for r in rows] == expected
+
+    def test_layers_sorted_by_value_then_vertices(self):
+        complex = vietoris_rips(euclidean_metric(sierpinski_triangle(2)), 3)
+        for verts, vals in zip(complex.vertices, complex.values):
+            keys = list(zip(vals.tolist(), map(tuple, verts.tolist())))
+            assert keys == sorted(keys)
+            assert not verts.flags.writeable and not vals.flags.writeable
 
     def test_face_closure_rejects_missing_face(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing vertex of"):
+            FilteredComplex(([[0], [1]], np.empty((0, 2)), [[0, 1, 2]]), ([0.0, 0.0], [], [1.0]))
+        with pytest.raises(ValueError, match="missing face without vertex 1 of"):
             FilteredComplex(
-                (Simplex((0,), 0.0), Simplex((1,), 0.0), Simplex((0, 1, 2), 1.0)),
-                2,
+                ([[0], [1], [2]], [[0, 1], [1, 2]], [[0, 1, 2]]),
+                ([0.0, 0.0, 0.0], [1.0, 1.0], [1.0]),
             )
 
     def test_face_closure_rejects_value_inversion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"face above coface \(0, 1, 2\)"):
             FilteredComplex(
-                (
-                    Simplex((0,), 0.0),
-                    Simplex((1,), 0.0),
-                    Simplex((0, 1), 2.0),
-                    Simplex((2,), 0.0),
-                    Simplex((0, 2), 1.0),
-                    Simplex((1, 2), 1.0),
-                    Simplex((0, 1, 2), 1.0),  # below its (0,1) face
-                ),
-                2,
+                ([[0], [1], [2]], [[0, 1], [0, 2], [1, 2]], [[0, 1, 2]]),
+                ([0.0, 0.0, 0.0], [2.0, 1.0, 1.0], [1.0]),  # below its (0,1) face
             )
+
+    def test_duplicate_simplex_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate simplex \(0, 1\)"):
+            FilteredComplex(([[0], [1]], [[0, 1], [0, 1]]), ([0.0, 0.0], [1.0, 2.0]))
 
     def test_dump_format(self):
         complex = vietoris_rips(two_point_metric(0.5), 1)
         assert complex.dump() == "0:0\n1:0\n0,1:0.5"
 
     def test_simplex_validation(self):
-        with pytest.raises(ValueError):
-            Simplex((1, 0), 0.0)
-        with pytest.raises(ValueError):
-            Simplex((0, 1), -1.0)
-        with pytest.raises(ValueError):
-            Simplex((), 0.0)
+        # unsorted vertex rows, bad values, wrong shapes and no layers at all
+        cases = [
+            (([[0], [1]], [[1, 0]]), ([0.0, 0.0], [0.0]), "not strictly increasing"),
+            (([[0], [1]], [[0, 1]]), ([0.0, 0.0], [-1.0]), "negative or non-finite value"),
+            (([[0], [1]], [[0, 1]]), ([0.0, 0.0], [math.nan]), "negative or non-finite value"),
+            (([[0], [1]], [[0, 1]]), ([0.0, 0.0], [math.inf]), "negative or non-finite value"),
+            ((np.empty((1, 0), int),), ([0.0],), "layer 0 needs vertex rows"),
+            (([[0], [1]], [[0, 1]]), ([0.0, 0.0], [1.0, 1.0]), "layer 1 needs vertex rows"),
+            ((), (), "at least one layer"),
+        ]
+        for vertices, values, message in cases:
+            with pytest.raises(ValueError, match=message):
+                FilteredComplex(vertices, values)
 
 
 @given(st.integers(0, 1000))

@@ -62,6 +62,16 @@ class TestPersistenceExamples:
         assert b0.death_complete
         assert not b1.death_complete  # complex built only to dimension 1
 
+    def test_degrees_past_the_complex_are_empty_and_incomplete(self):
+        d = np.full((3, 3), 2.0)
+        np.fill_diagonal(d, 0.0)
+        complex = vietoris_rips(MetricView(d), 1)  # three edges, no triangle
+        barcodes = persistence(complex, complex.max_dim + 3)
+        assert [bc.degree for bc in barcodes] == [0, 1, 2, 3, 4]
+        assert [bc.death_complete for bc in barcodes] == [True, False, False, False, False]
+        assert intervals_as_pairs(barcodes[1]) == [(2.0, math.inf)]
+        assert all(bc.intervals == () for bc in barcodes[2:])
+
 
 class TestUnionFind:
     def test_single_point(self):
