@@ -433,6 +433,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise UsageError("--threads must be at least 1")
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "estimate":

@@ -8,37 +8,60 @@ weighted interval count (-1)^i (e^-a - e^-b).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import SingularSimilarityError
 from .filtration import alpha_complex_2d, vietoris_rips
 from .parallel import parallel_map
 from .persistence import Barcode, Interval, persistence
-from .spaces import MetricView, PointCloud, rescale, scale_grid
+from .spaces import MetricView, PointCloud, scale_grid
+from .spaces import rescale  # unused here; perfbench/tracer.py wraps it under this module
 
 RESIDUAL_TOL = 1e-8
 
 
-def _solve_similarity(metric: MetricView):
-    """Solve zeta w = 1; returns (magnitude, residual).
+def _check_finite(metric: MetricView):
+    if metric.size and not np.all(np.isfinite(metric.dist)):
+        raise ValueError("magnitude requires all distances finite")
 
-    Tries a Cholesky (positive-definite) factorisation first — exact for
-    Euclidean-embeddable metrics — and falls back to a general symmetric
-    solve. One iterative-refinement step either way.
+
+def _solve_curve(dist: np.ndarray, t_grid) -> list:
+    """(magnitude, residual) of tX for each t; dist must be finite.
+
+    zeta = exp(-t d) is built in place in one C-order buffer and copied
+    into one Fortran-order buffer that LAPACK's Cholesky overwrites, so a
+    curve holds 2 n^2 floats beside the metric whatever its length.
+    Cholesky is exact for Euclidean-embeddable metrics; where it fails, a
+    general symmetric solve on the untouched zeta. One iterative-refinement
+    step either way.
     """
-    n = metric.size
+    n = dist.shape[0]
     if n == 0:
-        return 0.0, 0.0
-    zeta = np.exp(-metric.dist)
+        return [(0.0, 0.0)] * len(t_grid)
     ones = np.ones(n)
-    try:
-        factor = scipy.linalg.cho_factor(zeta)
-        w = scipy.linalg.cho_solve(factor, ones)
-        w = w + scipy.linalg.cho_solve(factor, ones - zeta @ w)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    zeta = np.empty((n, n))
+    factor = np.empty((n, n), order="F")
+    results = []
+    for t in t_grid:
+        np.multiply(dist, -t, out=zeta)
+        np.exp(zeta, out=zeta)
+        np.copyto(factor, zeta.T)  # zeta is exactly symmetric: a plain memcpy
+        results.append(_solve_in_buffers(zeta, factor, ones))
+    return results
+
+
+def _solve_in_buffers(zeta, factor, ones):
+    """Solve zeta w = 1 with factor as scratch; returns (sum(w), residual)."""
+    factor, info = lapack.dpotrf(factor, lower=0, overwrite_a=1, clean=0)
+    if info == 0:
+        w = lapack.dpotrs(factor, ones)[0]
+        w = w + lapack.dpotrs(factor, ones - zeta @ w)[0]
+    else:
         try:
             w = scipy.linalg.solve(zeta, ones, assume_a="sym")
             w = w + scipy.linalg.solve(zeta, ones - zeta @ w, assume_a="sym")
@@ -52,9 +75,8 @@ def _solve_similarity(metric: MetricView):
 
 def magnitude(metric: MetricView) -> float:
     """Magnitude sum(ij) of the inverse similarity matrix."""
-    if metric.size and not np.all(np.isfinite(metric.dist)):
-        raise ValueError("magnitude requires all distances finite")
-    value, residual = _solve_similarity(metric)
+    _check_finite(metric)
+    ((value, residual),) = _solve_curve(metric.dist, [1.0])
     if not (residual <= RESIDUAL_TOL):
         raise SingularSimilarityError(metric.scale, residual)
     return value
@@ -83,19 +105,21 @@ class MagnitudeFunctionSamples:
 
 
 def magnitude_function(metric: MetricView, t_grid, threads=None) -> MagnitudeFunctionSamples:
-    """Magnitude of the rescaled space per grid entry; failures flagged, not raised."""
+    """Magnitude of the rescaled space per grid entry; failures flagged, not raised.
+
+    The grid is cut into min(threads, len(t_grid), cpu count) contiguous
+    chunks, each solved by one worker with its own buffer pair; every
+    entry is computed from the metric alone, so values do not depend on
+    the thread count.
+    """
     t_grid = scale_grid(t_grid, "t")
-    if metric.size and not np.all(np.isfinite(metric.dist)):
-        raise ValueError("magnitude requires all distances finite")
-
-    def solve_at(t):
-        value, residual = _solve_similarity(rescale(metric, t))
-        if not (residual <= RESIDUAL_TOL):
-            return math.nan, residual
-        return value, residual
-
-    results = parallel_map(solve_at, t_grid, threads)
-    values = tuple(v for v, _ in results)
+    _check_finite(metric)
+    workers = max(1, min(threads or 1, len(t_grid), os.cpu_count() or 1))
+    bounds = [len(t_grid) * k // workers for k in range(workers + 1)]
+    chunks = [t_grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    results = parallel_map(lambda chunk: _solve_curve(metric.dist, chunk), chunks, workers)
+    results = [entry for chunk in results for entry in chunk]
+    values = tuple(v if r <= RESIDUAL_TOL else math.nan for v, r in results)
     residuals = tuple(r for _, r in results)
     return MagnitudeFunctionSamples(tuple(t_grid), values, residuals)
 

@@ -3,13 +3,15 @@
 Deliberately naive implementations on separate code paths from the
 package: dense boundary-matrix reduction, loop-based counting, Prim MST,
 exhaustive minimal covers, a non-lazy greedy cover, a triangle-inequality
-scan, magnitude via explicit matrix inversion.
+scan, magnitude via explicit matrix inversion and via scipy's Cholesky
+helpers.
 """
 
 import heapq
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def naive_persistence_pairs(complex, max_degree):
@@ -192,6 +194,20 @@ def minimal_cover_size(net, eps):
 def naive_magnitude(dist):
     """Magnitude via explicit inverse of the similarity matrix."""
     return float(np.linalg.inv(np.exp(-np.asarray(dist))).sum())
+
+
+def cholesky_magnitude(dist, t):
+    """Magnitude of tX by cho_factor/cho_solve and one refinement step.
+
+    The similarity matrix is exp(-(d t)), each product rounded once, as a
+    rescaled metric holds it.
+    """
+    zeta = np.exp(-(np.asarray(dist) * t))
+    ones = np.ones(len(zeta))
+    factor = scipy.linalg.cho_factor(zeta)
+    w = scipy.linalg.cho_solve(factor, ones)
+    w = w + scipy.linalg.cho_solve(factor, ones - zeta @ w)
+    return float(w.sum())
 
 
 def point_in_triangle(p, a, b, c, tol=1e-12):

@@ -352,6 +352,23 @@ class TestEstimate:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "magnitude-dim", "--input", "s.csv", "--threads", "0"],
+            ["estimate", "box", "--input", "s.csv", "--threads", "-3"],
+            ["bench", "classic", "--threads", "0"],
+        ],
+        ids=["magnitude-zero", "box-negative", "bench-zero"],
+    )
+    def test_threads_below_one_exit2(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        save_pointcloud(sierpinski_triangle(2), tmp_path / "s.csv")
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --threads must be at least 1\n"
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "box", "--input", "x.csv", "--bogus", "1"])

@@ -1,7 +1,9 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,9 @@ from fracdim import (
     subsample,
     vietoris_rips,
 )
-from oracles import naive_magnitude
+from oracles import cholesky_magnitude, naive_magnitude
+
+magnitude_module = importlib.import_module("fracdim.magnitude")
 
 
 def two_point_metric(d):
@@ -109,12 +113,64 @@ class TestMagnitudeFunction:
         with pytest.raises(ValueError):
             magnitude_function(two_point_metric(1.0), [2.0, 1.0])
 
+    def test_values_equal_cholesky_oracle_bit_for_bit(self):
+        metric = euclidean_metric(subsample(sierpinski_triangle(7), 300, 11))
+        grid = [float(t) for t in range(1, 101)]
+        samples = magnitude_function(metric, grid)
+        assert all(samples.accepted())
+        assert samples.values == tuple(cholesky_magnitude(metric.dist, t) for t in grid)
+
+    def test_failed_cholesky_falls_back_then_buffers_are_reused(self, monkeypatch):
+        # K_{3,2}: distance 1 across the parts, 2 within them; zeta is
+        # indefinite at the first three t, positive definite at the last two
+        part = np.array([0, 0, 0, 1, 1])
+        dist = np.where(part[:, None] == part[None, :], 2.0, 1.0)
+        np.fill_diagonal(dist, 0.0)
+        grid = [0.1, 0.2, 0.3, 0.5, 1.0]
+        smallest = [np.linalg.eigvalsh(np.exp(-dist * t)).min() for t in grid]
+        assert [e > 0 for e in smallest] == [False, False, False, True, True]
+        solve = scipy.linalg.solve
+        fallbacks = []
+
+        def counting_solve(*args, **kwargs):
+            fallbacks.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve", counting_solve)
+        samples = magnitude_function(MetricView(dist), grid)
+        assert len(fallbacks) == 2 * 3  # a solve and a refinement per indefinite entry
+        assert all(samples.accepted())
+        for t, value in zip(grid, samples.values):
+            assert value == pytest.approx(naive_magnitude(dist * t), abs=1e-10)
+
     def test_threads_do_not_change_values(self, random_cloud):
+        # 1 to 7 threads cut the 5-entry grid into 1 to 5 chunks
         metric = euclidean_metric(random_cloud(25, seed=14))
-        grid = [0.5, 1.0, 2.0, 4.0]
-        a = magnitude_function(metric, grid, threads=1)
-        b = magnitude_function(metric, grid, threads=4)
-        assert a.values == b.values
+        grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+        runs = [magnitude_function(metric, grid, threads=k) for k in (1, 2, 3, 7)]
+        for run in runs[1:]:
+            assert np.array(run.values).tobytes() == np.array(runs[0].values).tobytes()
+            assert np.array(run.residuals).tobytes() == np.array(runs[0].residuals).tobytes()
+
+    @pytest.mark.parametrize(
+        "threads, cpus, expected",
+        [(64, 64, 5), (64, 3, 3), (2, 64, 2), (64, None, 1), (None, 64, 1), (0, 64, 1)],
+    )
+    def test_workers_bounded_by_grid_and_cpus(self, monkeypatch, threads, cpus, expected):
+        # each worker holds two n x n buffers, so --threads 64 must not mean 64 of them
+        calls = []
+
+        def recording_map(fn, items, workers=None):
+            items = list(items)
+            calls.append((len(items), workers))
+            return [fn(item) for item in items]
+
+        monkeypatch.setattr(magnitude_module.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(magnitude_module, "parallel_map", recording_map)
+        grid = [1.0, 2.0, 3.0, 4.0, 5.0]
+        samples = magnitude_function(two_point_metric(1.0), grid, threads=threads)
+        assert calls == [(expected, expected)]
+        assert samples.values == magnitude_function(two_point_metric(1.0), grid).values
 
 
 class TestPersistentMagnitude:
