@@ -1,8 +1,11 @@
 """Persistence barcodes of filtered complexes.
 
-Boundary-matrix reduction over the 2-element field, with each column
-an integer bitset and the clearing (twist) optimisation, and a
-union-find fast path for degree 0.
+Persistent cohomology over the 2-element field on the layer arrays of a
+`FilteredComplex`: union-find for degree 0, then, degree by degree, the
+coboundary matrix reduced with clearing and apparent pairs, each column
+an integer bitset. Bauer, "Ripser: efficient computation of
+Vietoris-Rips persistence barcodes" (2021); de Silva, Morozov &
+Vejdemo-Johansson, "Dualities in persistent (co)homology" (2011).
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ import numpy as np
 
 from .filtration import FilteredComplex
 from .spaces import MetricView
-
-FACE_BLOCK = 1 << 16  # face rows turned into Python ints at a time
 
 
 @dataclass(frozen=True)
@@ -64,40 +65,116 @@ class Barcode:
 def persistence(complex: FilteredComplex, max_degree: int) -> list:
     """Barcodes in degrees 0..max_degree, coefficients in the 2-element field.
 
-    Each column is a Python int whose bit k marks face row k in the layer
-    below: adding a column is one XOR, its pivot the highest set bit.
-    Dimensions are reduced top down with clearing; zero-length intervals
-    are discarded. A degree is `death_complete` only with a layer above it.
+    Degree 0 is union-find over the edges in filtration order (elder rule).
+    Each higher degree reduces the coboundary matrix of its layer, latest
+    simplex first, skipping the columns that the degree below cleared and
+    pairing apparent pairs without building their columns. The pairs, and
+    so the barcodes, are those of boundary-matrix reduction in the same
+    order. Zero-length intervals are discarded. A degree is
+    `death_complete` only with a layer above it.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    cutoff = max_degree + 1
-    intervals = [[] for _ in range(cutoff)]
-    births = {}  # simplices of dimension d that are pivot rows in dimension d + 1
-    for d in range(min(cutoff, complex.max_dim), -1, -1):
-        below = complex.values[d - 1].tolist() if d else []
-        pivot = {}  # low row -> reduced column that owns it
-        values = complex.values[d].tolist()
-        for start in range(0, len(values), FACE_BLOCK):
-            for j, rows in enumerate(complex.faces[d][start : start + FACE_BLOCK].tolist(), start):
-                if j in births:  # clearing: a birth column reduces to zero
-                    continue
-                col = sum(1 << r for r in rows)  # the face rows are distinct
-                while col and (owner := pivot.get(col.bit_length() - 1)) is not None:
-                    col ^= owner
-                if col:
-                    low = col.bit_length() - 1
-                    pivot[low] = col
-                    if values[j] > below[low]:
-                        intervals[d - 1].append(Interval(below[low], values[j]))
-                elif d < cutoff:
-                    intervals[d].append(Interval(values[j], math.inf))
-        births = pivot
-
+    intervals = [[] for _ in range(max_degree + 1)]
+    cleared = _components(complex, intervals[0])
+    for d in range(1, min(max_degree, complex.max_dim) + 1):
+        cleared = _cohomology(complex, d, cleared, intervals[d])
     return [
         Barcode(d, tuple(intervals[d]), death_complete=complex.max_dim > d)
-        for d in range(cutoff)
+        for d in range(max_degree + 1)
     ]
+
+
+def _root(parent: list, x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _components(complex: FilteredComplex, bars: list) -> list:
+    """Degree-0 bars by union-find; returns the rows of the edges that merge components.
+
+    A component's root is its earliest vertex row. An edge joining two
+    components ends the one with the later root, at the edge's value.
+    """
+    births = complex.values[0].tolist()
+    parent = list(range(len(births)))
+    merges = []
+    if complex.max_dim:
+        deaths = complex.values[1].tolist()
+        for e, (a, b) in enumerate(complex.faces[1].tolist()):
+            a, b = _root(parent, a), _root(parent, b)
+            if a != b:
+                old, young = min(a, b), max(a, b)
+                parent[young] = old
+                merges.append(e)
+                if deaths[e] > births[young]:
+                    bars.append(Interval(births[young], deaths[e]))
+                if len(merges) == len(births) - 1:
+                    break
+    bars.extend(Interval(births[v], math.inf) for v in range(len(births)) if parent[v] == v)
+    return merges
+
+
+def _cohomology(complex: FilteredComplex, d: int, cleared: list, bars: list) -> list:
+    """Degree-d bars from the coboundary columns of layer d; returns their pivot rows.
+
+    The cleared columns (pivot rows of degree d - 1) reduce to zero and
+    are skipped. A column is a Python int over the rows of layer d + 1,
+    row r at bit m - 1 - r, so its pivot (earliest coface) is its highest
+    set bit. A pair (j, r) is apparent when r is j's earliest coface and
+    j is r's latest face: no later column reaches r, so column j needs no
+    addition and is built only if another column needs it.
+    """
+    births = complex.values[d]
+    todo = np.ones(len(births), bool)
+    todo[cleared] = False
+    if d == complex.max_dim:
+        bars.extend(Interval(b, math.inf) for b in births[todo].tolist())
+        return []
+    faces, deaths = complex.faces[d + 1], complex.values[d + 1]
+    m = len(deaths)
+    # cofaces grouped by face row, increasing within a group: sort the keys
+    # face * m + coface (below m_d * m, which fits int64 for any complex that fits in memory)
+    cofaces = faces * m
+    cofaces += np.arange(m)[:, None]
+    cofaces = np.sort(cofaces, axis=None)
+    cofaces %= m
+    start = np.zeros(len(births) + 1, np.int64)
+    np.cumsum(np.bincount(faces.ravel(), minlength=len(births)), out=start[1:])
+    rows = np.flatnonzero(start[:-1] < start[1:])  # simplices with a coface
+    earliest = cofaces[start[rows]]
+    apparent = faces[earliest].max(axis=1) == rows
+    rows, earliest = rows[apparent], earliest[apparent]
+    owner = dict(zip(earliest.tolist(), rows.tolist()))  # pivot row -> its column
+    lives = deaths[earliest] > births[rows]
+    bars.extend(map(Interval, births[rows[lives]].tolist(), deaths[earliest[lives]].tolist()))
+    todo[rows] = False
+
+    def coboundary(j):
+        bits = bytearray((m + 7) // 8)
+        for r in cofaces[start[j] : start[j + 1]].tolist():
+            bit = m - 1 - r
+            bits[bit >> 3] |= 1 << (bit & 7)
+        return int.from_bytes(bits, "little")
+
+    columns = {}  # reduced columns built so far, by row of layer d
+    births, deaths = births.tolist(), deaths.tolist()
+    for j in np.flatnonzero(todo)[::-1].tolist():
+        col = coboundary(j)
+        while col and (k := owner.get(low := m - col.bit_length())) is not None:
+            if k not in columns:
+                columns[k] = coboundary(k)
+            col ^= columns[k]
+        if col:
+            owner[low], columns[j] = j, col
+            if deaths[low] > births[j]:
+                bars.append(Interval(births[j], deaths[low]))
+        else:
+            bars.append(Interval(births[j], math.inf))
+    return list(owner)
 
 
 def h0_union_find(metric: MetricView) -> Barcode:
@@ -117,16 +194,9 @@ def h0_union_find(metric: MetricView) -> Barcode:
     order = np.argsort(w, kind="stable")
 
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     deaths = []
     for k in order:
-        a, b = find(int(iu[k])), find(int(ju[k]))
+        a, b = _root(parent, int(iu[k])), _root(parent, int(ju[k]))
         if a != b:
             parent[a] = b
             deaths.append(float(w[k]))

@@ -97,7 +97,15 @@ class TestVietorisRips:
         monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", "123")
         assert simplex_cap() == 123
         monkeypatch.delenv("FRACDIM_MAX_SIMPLICES")
-        assert simplex_cap() == 50_000_000
+        assert simplex_cap() == 15_000_000
+
+    def test_default_cap_refuses_the_2_skeleton_of_449_points(self, monkeypatch):
+        # 15,086,849 simplices, just over 1.5e7 (448 points have 14,986,272): refused
+        # before the triangle layer is allocated
+        monkeypatch.delenv("FRACDIM_MAX_SIMPLICES", raising=False)
+        metric = euclidean_metric(PointCloud(np.random.default_rng(0).random((449, 2))))
+        with pytest.raises(ResourceLimitError):
+            vietoris_rips(metric, 2)
 
     @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-5", "abc"])
     def test_cap_env_rejects_non_finite_or_negative(self, monkeypatch, value):

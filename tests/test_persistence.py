@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from fracdim import (
     Barcode,
+    FilteredComplex,
     Interval,
     MetricView,
     PointCloud,
@@ -18,6 +23,8 @@ from fracdim import (
     vietoris_rips,
 )
 from oracles import naive_persistence_pairs
+
+REFERENCE_VALUES = Path(__file__).resolve().parent.parent / "perfbench" / "reference_values.json"
 
 
 def intervals_as_pairs(barcode):
@@ -121,7 +128,7 @@ class TestAgainstNaiveReduction:
         for degree in range(3):
             assert sorted(
                 (iv.birth, iv.death) for iv in got[degree].intervals
-            ) == pytest.approx(expected[degree])
+            ) == expected[degree]
 
     def test_alpha_barcodes_match_dense_oracle(self, random_cloud):
         from fracdim import alpha_complex_2d
@@ -132,7 +139,7 @@ class TestAgainstNaiveReduction:
         for degree in range(2):
             assert sorted(
                 (iv.birth, iv.death) for iv in got[degree].intervals
-            ) == pytest.approx(expected[degree])
+            ) == expected[degree]
 
     # seeded uniform clouds have no tied distances; the 9-point Sierpinski
     # triangle ties heavily, so the filtration order decides the pairing
@@ -148,7 +155,73 @@ class TestAgainstNaiveReduction:
         for degree in range(3):
             assert sorted(
                 (iv.birth, iv.death) for iv in got[degree].intervals
-            ) == pytest.approx(expected[degree])
+            ) == expected[degree]
+
+
+def got_pairs(barcodes):
+    return {bc.degree: intervals_as_pairs(bc) for bc in barcodes}
+
+
+@st.composite
+def tied_metrics(draw):
+    """Symmetric distances in {1, 2, 3}: nearly every filtration value ties."""
+    n = draw(st.integers(4, 8))
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = draw(st.lists(st.integers(1, 3), min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+    return MetricView(d + d.T)
+
+
+@st.composite
+def hand_built_complexes(draw):
+    """Closed 2-complexes on up to 7 vertices with integer values, vertices at 0 to 3."""
+    n = draw(st.integers(1, 7))
+    value = dict(zip(((v,) for v in range(n)), draw(st.lists(st.integers(0, 3), min_size=n,
+                                                              max_size=n))))
+    for k in (2, 3):
+        for s in itertools.combinations(range(n), k):
+            faces = list(itertools.combinations(s, k - 1))
+            if all(f in value for f in faces) and draw(st.booleans()):
+                value[s] = max(value[f] for f in faces) + draw(st.integers(0, 2))
+    layers = [[s for s in value if len(s) == k] for k in (1, 2, 3)]
+    return FilteredComplex(
+        [np.array(layer, np.int64).reshape(-1, k) for k, layer in enumerate(layers, 1)],
+        [[value[s] for s in layer] for layer in layers],
+    )
+
+
+@given(tied_metrics())
+@settings(max_examples=60, deadline=None)
+def test_tied_integer_metrics_match_dense_oracle(metric):
+    complex = vietoris_rips(metric, 3)
+    assert got_pairs(persistence(complex, 2)) == naive_persistence_pairs(complex, 2)
+
+
+@given(hand_built_complexes())
+@settings(max_examples=100, deadline=None)
+def test_hand_built_complexes_match_dense_oracle(complex):
+    # vertices born after 0 make the elder rule decide which component dies
+    assert got_pairs(persistence(complex, 2)) == naive_persistence_pairs(complex, 2)
+
+
+def test_empty_edge_layer():
+    complex = FilteredComplex(
+        (np.array([[0], [1], [2]]), np.empty((0, 2), np.int64)), ([2.0, 0.0, 1.0], [])
+    )
+    b0, b1 = persistence(complex, 1)
+    assert got_pairs((b0, b1)) == naive_persistence_pairs(complex, 1)
+    assert intervals_as_pairs(b0) == [(0.0, math.inf), (1.0, math.inf), (2.0, math.inf)]
+    assert b1.intervals == () and not b1.death_complete
+
+
+def test_rips_h1_n81_digest_matches_benchmark_reference():
+    """All 81 Sierpinski-4 points: the barcodes hash as perfbench's rips-h1 recorded them."""
+    metric = euclidean_metric(sierpinski_triangle(4))
+    barcodes = persistence(vietoris_rips(metric, 2), 1)
+    text = repr([(bc.degree, [(iv.birth, iv.death) for iv in bc.intervals]) for bc in barcodes])
+    reference = json.loads(REFERENCE_VALUES.read_text())["values"]["rips-h1"]
+    digest = hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+    assert digest == reference["rips-h1/sierpinski-4-n81"]
 
 
 class TestProperties:
