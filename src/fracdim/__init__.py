@@ -40,6 +40,7 @@ from .magnitude import (
     magnitude,
     magnitude_function,
     persistent_magnitude,
+    persistent_magnitude_curve,
     rips_magnitude,
 )
 from .persistence import Barcode, Interval, h0_union_find, persistence

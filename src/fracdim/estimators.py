@@ -21,7 +21,11 @@ from .errors import (
     UndefinedDimensionError,
 )
 from .filtration import alpha_complex_2d, vietoris_rips
-from .magnitude import magnitude_function, persistent_magnitude, rescale_barcode
+from .magnitude import magnitude_function, persistent_magnitude_curve
+from .magnitude import (  # unused here; perfbench/tracer.py wraps them under this module
+    persistent_magnitude,
+    rescale_barcode,
+)
 from .persistence import h0_union_find, persistence
 from .spaces import (
     MetricView,
@@ -77,6 +81,16 @@ class DimensionEstimate:
         }
 
 
+def _window_bounds(window, count: int) -> tuple:
+    """(lo, hi) of a half-open index window over count samples holding at least two."""
+    if window is None:
+        window = (0, count)
+    lo, hi = int(window[0]), int(window[1])
+    if not (0 <= lo < hi <= count) or hi - lo < 2:
+        raise ValueError(f"window {window} invalid for {count} samples")
+    return lo, hi
+
+
 def loglog_fit(xs, ys, window=None) -> LogLogFit:
     """Ordinary least squares on (log xs, log ys) over a half-open index window."""
     xs = [float(x) for x in xs]
@@ -85,11 +99,7 @@ def loglog_fit(xs, ys, window=None) -> LogLogFit:
         raise ValueError("xs and ys must have equal length")
     if not all(0 < v < math.inf for v in xs + ys):
         raise ValueError("log-log fit requires finite positive inputs")
-    if window is None:
-        window = (0, len(xs))
-    lo, hi = int(window[0]), int(window[1])
-    if not (0 <= lo < hi <= len(xs)) or hi - lo < 2:
-        raise ValueError(f"window {window} invalid for {len(xs)} samples")
+    lo, hi = _window_bounds(window, len(xs))
     wx, wy = np.log(xs[lo:hi]), np.log(ys[lo:hi])
     slope, intercept = np.polyfit(wx, wy, 1)
     resid = wy - (slope * wx + intercept)
@@ -408,6 +418,8 @@ def magnitude_dimension(
         t_grid = [float(t) for t in range(1, 301)]
         if window is None:
             window = (40, 80)
+    t_grid = scale_grid(t_grid, "t")
+    _window_bounds(window, len(t_grid))
     samples = magnitude_function(metric, t_grid, threads)
     accepted = samples.accepted()
     if not all(accepted):
@@ -438,7 +450,7 @@ def alpha_magnitude_dimension(
 ) -> DimensionEstimate:
     """Slope of log alpha-magnitude of tX against log t.
 
-    Barcodes are computed once and rescaled per grid entry. Grid entries
+    Barcodes are computed once and summed over the whole grid. Grid entries
     where the signed sum is non-positive are excluded from the fit with
     a warning.
     """
@@ -447,16 +459,9 @@ def alpha_magnitude_dimension(
         if window is None:
             window = (40, 80)
     t_grid = scale_grid(t_grid, "t")
-    complex = alpha_complex_2d(cloud)
-    barcodes = persistence(complex, max_degree)
-    values = [
-        persistent_magnitude([rescale_barcode(bc, t) for bc in barcodes]) for t in t_grid
-    ]
-    if window is None:
-        window = (0, len(t_grid))
-    lo, hi = int(window[0]), int(window[1])
-    if not (0 <= lo < hi <= len(t_grid)):
-        raise ValueError(f"window {window} invalid for {len(t_grid)} samples")
+    lo, hi = _window_bounds(window, len(t_grid))
+    barcodes = persistence(alpha_complex_2d(cloud), max_degree)
+    values = persistent_magnitude_curve(barcodes, t_grid)
     kept = [k for k in range(lo, hi) if values[k] > 0.0]
     warnings = []
     if len(kept) < hi - lo:

@@ -4,7 +4,7 @@ Deliberately naive implementations on separate code paths from the
 package: dense boundary-matrix reduction, loop-based counting, Prim MST,
 exhaustive minimal covers, a non-lazy greedy cover, a triangle-inequality
 scan, magnitude via explicit matrix inversion and via scipy's Cholesky
-helpers.
+helpers, persistent magnitude one interval at a time.
 """
 
 import heapq
@@ -208,6 +208,23 @@ def cholesky_magnitude(dist, t):
     w = scipy.linalg.cho_solve(factor, ones)
     w = w + scipy.linalg.cho_solve(factor, ones - zeta @ w)
     return float(w.sum())
+
+
+def naive_persistent_magnitude(barcodes, t):
+    """Persistent magnitude of the barcodes of tX, one interval at a time.
+
+    Each endpoint is rescaled by t, each term takes math.exp, and the
+    signed terms (-1)^degree (e^-tb - e^-td) are added in barcode order to
+    a running total that starts at 0.0; an infinite death adds no term.
+    """
+    total = 0.0
+    for bc in barcodes:
+        sign = -1.0 if bc.degree % 2 else 1.0
+        for iv in bc.intervals:
+            birth, death = iv.birth * t, iv.death * t
+            death_term = math.exp(-death) if math.isfinite(death) else 0.0
+            total += sign * (math.exp(-birth) - death_term)
+    return total
 
 
 def point_in_triangle(p, a, b, c, tol=1e-12):

@@ -14,6 +14,11 @@ from fracdim.cli import ESTIMATORS, main, run_bench
 from fracdim.io import load_network, load_pointcloud, save_network, save_pointcloud
 
 
+ONE_SAMPLE_WINDOW = [
+    "--t-min", "1", "--t-max", "10", "--t-step", "1", "--fit-lo", "3", "--fit-hi", "4"
+]
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -334,11 +339,13 @@ class TestEstimate:
             ("box", ["--input", "n.edges", "--eps-min", "1e-320", "--eps-max", "10"],
              "log-log fit requires finite positive inputs"),
             ("box", ["--eps-min", "1e-20", "--eps-max", "10"], "overflow int64"),
+            ("magnitude-dim", ONE_SAMPLE_WINDOW, "window (3, 4) invalid for 10 samples"),
+            ("alpha-magnitude-dim", ONE_SAMPLE_WINDOW, "window (3, 4) invalid for 10 samples"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
              "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
              "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
-             "eps-tiny-box"],
+             "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from fracdim import (
     DegenerateInputError,
+    MetricView,
     PHDimensionConfig,
     PointCloud,
     SierpinskiTreeParams,
@@ -461,6 +464,23 @@ class TestMagnitudeDimension:
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
 
+@pytest.mark.parametrize("window", [(3, 4), (4, 4), (-1, 3), (8, 11)])
+def test_magnitude_estimators_reject_window_before_any_work(window):
+    # inputs each estimator would reject only once it starts work: a 3-d cloud
+    # for the alpha complex, an infinite distance for the similarity solves
+    grid = [float(t) for t in range(1, 11)]
+    with pytest.raises(ValueError) as fit_err:
+        loglog_fit(grid, grid, window)
+    assert str(fit_err.value) == f"window {window} invalid for 10 samples"
+    with pytest.raises(ValueError) as err:
+        alpha_magnitude_dimension(PointCloud(np.zeros((3, 3))), grid, window)
+    assert str(err.value) == str(fit_err.value)
+    unreachable = MetricView(np.array([[0.0, math.inf], [math.inf, 0.0]]))
+    with pytest.raises(ValueError) as err:
+        magnitude_dimension(unreachable, grid, window)
+    assert str(err.value) == str(fit_err.value)
+
+
 class TestAlphaMagnitudeDimension:
     def test_one_point_degenerate_slope_zero(self):
         cloud = PointCloud(np.array([[0.25, 0.75]]))
@@ -478,6 +498,14 @@ class TestAlphaMagnitudeDimension:
         grid = [float(t) for t in np.geomspace(8, 2000, 40)]
         est = alpha_magnitude_dimension(cloud2d, t_grid=grid, window=(5, 35))
         assert est.value == pytest.approx(math.log(2) / math.log(3), abs=0.05)
+
+    def test_default_estimate_json_digest_pinned(self):
+        # digest of the estimate as computed by the per-t rescaled-barcode loop
+        est = alpha_magnitude_dimension(sierpinski_triangle(5))
+        text = json.dumps(est.to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "96d080feb06aa0611419e78bc59e9d358b883b365f68b4d665bbd712aa218fe8"
+        )
 
     def test_rigid_motion_invariance(self, random_cloud):
         cloud = random_cloud(80, seed=23)

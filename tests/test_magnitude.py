@@ -13,19 +13,21 @@ from fracdim import (
     MetricView,
     PointCloud,
     SingularSimilarityError,
+    alpha_complex_2d,
     alpha_magnitude,
     euclidean_metric,
     magnitude,
     magnitude_function,
     persistence,
     persistent_magnitude,
+    persistent_magnitude_curve,
     rescale,
     rips_magnitude,
     sierpinski_triangle,
     subsample,
     vietoris_rips,
 )
-from oracles import cholesky_magnitude, naive_magnitude
+from oracles import cholesky_magnitude, naive_magnitude, naive_persistent_magnitude
 
 magnitude_module = importlib.import_module("fracdim.magnitude")
 
@@ -199,6 +201,74 @@ class TestPersistentMagnitude:
         assert persistent_magnitude(union) == pytest.approx(
             persistent_magnitude(a) + persistent_magnitude(b)
         )
+
+
+# t = 1e-3 leaves every term near its first-order value; at 1e6 every
+# finite-ended term underflows to 0.0
+CURVE_GRID = [1e-3, *(float(t) for t in range(1, 301)), 1e6]
+
+
+def alpha_barcodes(name, max_degree):
+    cloud = {
+        "sierpinski-5": lambda: sierpinski_triangle(5),
+        "square-300": lambda: PointCloud(np.random.default_rng(300).random((300, 2))),
+    }[name]()
+    return persistence(alpha_complex_2d(cloud), max_degree)
+
+
+class TestPersistentMagnitudeCurve:
+    @pytest.mark.parametrize("max_degree", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["sierpinski-5", "square-300"])
+    def test_equals_per_interval_loop_on_alpha_barcodes(self, name, max_degree):
+        bcs = alpha_barcodes(name, max_degree)
+        assert len(bcs) == max_degree + 1 and sum(len(bc.intervals) for bc in bcs) > 200
+        curve = persistent_magnitude_curve(bcs, CURVE_GRID)
+        assert curve == [naive_persistent_magnitude(bcs, t) for t in CURVE_GRID]
+        assert persistent_magnitude(bcs) == persistent_magnitude_curve(bcs, [1.0])[0]
+        assert persistent_magnitude(bcs) == naive_persistent_magnitude(bcs, 1.0)
+
+    def test_empty_barcode_list_is_positive_zero(self):
+        for bcs in ([], [Barcode(0, ()), Barcode(1, ())]):
+            curve = persistent_magnitude_curve(bcs, [0.5, 1.0])
+            assert curve == [0.0, 0.0]
+            assert all(math.copysign(1.0, v) == 1.0 for v in curve)
+
+    def test_underflowing_degree1_terms_sum_to_positive_zero(self):
+        # each term is -1.0 * (0.0 - 0.0) = -0.0; a sum from 0.0 stays +0.0
+        bcs = [Barcode(1, (Interval(0.5, 2.0), Interval(1.0, math.inf)))]
+        (value,) = persistent_magnitude_curve(bcs, [1e6])
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        oracle = naive_persistent_magnitude(bcs, 1e6)
+        assert math.copysign(1.0, oracle) == 1.0
+
+    def test_grid_validated(self):
+        for grid in ([0.0], [-1.0], [math.nan], [2.0, 1.0]):
+            with pytest.raises(ValueError, match="t grid"):
+                persistent_magnitude_curve([Barcode(0, (Interval(0.0, 1.0),))], grid)
+
+
+finite_or_infinite_length = st.one_of(
+    st.floats(0.0, 50.0), st.just(math.inf), st.floats(1e-300, 1e-290)
+)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.floats(0.0, 50.0), finite_or_infinite_length),
+        max_size=30,
+    ),
+    st.lists(st.floats(1e-4, 1e4), min_size=1, max_size=8, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_curve_equals_per_interval_loop_property(bars, ts):
+    by_degree = {}
+    for degree, birth, length in bars:
+        by_degree.setdefault(degree, []).append(Interval(birth, birth + length))
+    bcs = [Barcode(d, tuple(ivs)) for d, ivs in sorted(by_degree.items())]
+    grid = sorted(ts)
+    assert persistent_magnitude_curve(bcs, grid) == [
+        naive_persistent_magnitude(bcs, t) for t in grid
+    ]
 
 
 class TestRipsMagnitude:
