@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the classic benchmark suite and print the aligned table.
 
-Usage: python scripts/run_bench.py [--seed 42] [--threads N] [--out bench.json]
+Usage: python scripts/run_bench.py [--seed 42] [--out bench.json]
 """
 
 import sys

@@ -25,7 +25,6 @@ from .errors import (
     SingularSimilarityError,
     UndefinedDimensionError,
 )
-from .parallel import parallel_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -70,14 +69,12 @@ def _build_parser():
     est.add_argument("--kind", choices=["cloud", "network"], default=None,
                      help="input kind (default: sniffed from content)")
     est.add_argument("--seed", type=int, default=42)
-    est.add_argument("--threads", type=int, default=None,
-                     help="worker threads for magnitude-dim; other estimators run serially")
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
     # eps-grid estimators
     est.add_argument("--eps-min", type=float, default=None)
     est.add_argument("--eps-max", type=float, default=None)
-    est.add_argument("--eps-count", type=int, default=12)
+    est.add_argument("--eps-count", type=int, default=None, help="grid entries (default 12)")
     est.add_argument("--fit-lo", type=int, default=None)
     est.add_argument("--fit-hi", type=int, default=None)
     # ph-dim family
@@ -99,7 +96,6 @@ def _build_parser():
     bench = sub.add_parser("bench", help="run a benchmark suite")
     bench.add_argument("suite", choices=["classic"])
     bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--threads", type=int, default=None)
     bench.add_argument("--format", choices=["text", "json", "csv"], default="text")
     bench.add_argument("--out", default=None)
 
@@ -172,12 +168,18 @@ def _check_entries(flags, count):
 
 
 def _eps_grid(args, decreasing):
-    if args.eps_count < 2:
+    """Geometric grid from --eps-min/--eps-max/--eps-count; None leaves the estimator's default."""
+    count = 12 if args.eps_count is None else args.eps_count
+    if count < 2:
         raise UsageError("--eps-count must be at least 2")
-    _check_entries("--eps-count", args.eps_count)
-    if args.eps_min is None or args.eps_max is None:
+    _check_entries("--eps-count", count)
+    if args.eps_min is None and args.eps_max is None:
+        if args.eps_count is not None:
+            raise UsageError("--eps-count requires --eps-min and --eps-max")
         return None
-    grid = np.geomspace(args.eps_min, args.eps_max, args.eps_count)
+    if args.eps_min is None or args.eps_max is None:
+        raise UsageError("--eps-min and --eps-max must be given together")
+    grid = np.geomspace(args.eps_min, args.eps_max, count)
     grid = grid[::-1] if decreasing else grid
     return [float(g) for g in grid]
 
@@ -246,7 +248,7 @@ def _run_magnitude(args, space):
         spaces.euclidean_metric(space) if isinstance(space, spaces.PointCloud)
         else spaces.shortest_path_metric(space)
     )
-    return estimators.magnitude_dimension(metric, *_t_grid_and_window(args), args.threads)
+    return estimators.magnitude_dimension(metric, *_t_grid_and_window(args))
 
 
 def _run_alpha_magnitude(args, cloud):
@@ -352,7 +354,7 @@ def _classic_cells(seed):
     return cells
 
 
-def run_bench(suite="classic", seed=42, threads=None):
+def run_bench(suite="classic", seed=42):
     """Run a benchmark suite; per-cell failures are recorded, not raised."""
     if suite != "classic":
         raise UsageError(f"unknown suite {suite!r}")
@@ -360,8 +362,8 @@ def run_bench(suite="classic", seed=42, threads=None):
     defaults = vars(_build_parser().parse_args(["estimate", "box", "--input", ""]))
     defaults.update(seed=seed)
 
-    def run_cell(cell):
-        space_name, tag, ref, estimator, space, overrides = cell
+    records = []
+    for space_name, tag, ref, estimator, space, overrides in cells:
         start = time.perf_counter()
         record = {
             "space": space_name,
@@ -381,16 +383,12 @@ def run_bench(suite="classic", seed=42, threads=None):
             record["warnings"] = list(est.warnings)
             if ref is not None:
                 record["deviation"] = est.value - ref
-        except FracdimError as exc:
+        except (FracdimError, ValueError) as exc:
             record["status"] = "error"
             record["error"] = f"{type(exc).__name__}: {exc}"
-        except ValueError as exc:
-            record["status"] = "error"
-            record["error"] = f"ValueError: {exc}"
         record["wall_time_s"] = time.perf_counter() - start
-        return record
-
-    return parallel_map(run_cell, cells, threads)
+        records.append(record)
+    return records
 
 
 def _format_bench_text(records):
@@ -413,7 +411,7 @@ def _csv_cell(value):
 
 
 def _cmd_bench(args):
-    records = run_bench(args.suite, args.seed, args.threads)
+    records = run_bench(args.suite, args.seed)
     if args.format == "json":
         _write_output(json.dumps(records, indent=2) + "\n", args.out)
     elif args.format == "csv":
@@ -433,8 +431,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise UsageError("--threads must be at least 1")
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "estimate":

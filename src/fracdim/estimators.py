@@ -410,9 +410,7 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate
 # magnitude dimensions
 
 
-def magnitude_dimension(
-    metric: MetricView, t_grid=None, window=None, threads=None
-) -> DimensionEstimate:
+def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> DimensionEstimate:
     """Slope of log Mag(tX) against log t over the window."""
     if t_grid is None:
         t_grid = [float(t) for t in range(1, 301)]
@@ -420,7 +418,7 @@ def magnitude_dimension(
             window = (40, 80)
     t_grid = scale_grid(t_grid, "t")
     _window_bounds(window, len(t_grid))
-    samples = magnitude_function(metric, t_grid, threads)
+    samples = magnitude_function(metric, t_grid)
     accepted = samples.accepted()
     if not all(accepted):
         bad = [t for t, ok in zip(samples.t_grid, accepted) if not ok]

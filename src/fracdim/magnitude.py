@@ -8,7 +8,6 @@ weighted interval count (-1)^i (e^-a - e^-b).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ from scipy.linalg import lapack
 
 from .errors import SingularSimilarityError
 from .filtration import alpha_complex_2d, vietoris_rips
-from .parallel import parallel_map
 from .persistence import Barcode, Interval, persistence
 from .spaces import MetricView, PointCloud, scale_grid
 from .spaces import rescale  # unused here; perfbench/tracer.py wraps it under this module
@@ -104,21 +102,11 @@ class MagnitudeFunctionSamples:
         )
 
 
-def magnitude_function(metric: MetricView, t_grid, threads=None) -> MagnitudeFunctionSamples:
-    """Magnitude of the rescaled space per grid entry; failures flagged, not raised.
-
-    The grid is cut into min(threads, len(t_grid), cpu count) contiguous
-    chunks, each solved by one worker with its own buffer pair; every
-    entry is computed from the metric alone, so values do not depend on
-    the thread count.
-    """
+def magnitude_function(metric: MetricView, t_grid) -> MagnitudeFunctionSamples:
+    """Magnitude of the rescaled space per grid entry; failures flagged, not raised."""
     t_grid = scale_grid(t_grid, "t")
     _check_finite(metric)
-    workers = max(1, min(threads or 1, len(t_grid), os.cpu_count() or 1))
-    bounds = [len(t_grid) * k // workers for k in range(workers + 1)]
-    chunks = [t_grid[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    results = parallel_map(lambda chunk: _solve_curve(metric.dist, chunk), chunks, workers)
-    results = [entry for chunk in results for entry in chunk]
+    results = _solve_curve(metric.dist, t_grid)
     values = tuple(v if r <= RESIDUAL_TOL else math.nan for v, r in results)
     residuals = tuple(r for _, r in results)
     return MagnitudeFunctionSamples(tuple(t_grid), values, residuals)

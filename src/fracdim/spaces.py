@@ -19,6 +19,7 @@ from .errors import ResourceLimitError
 
 TRIANGLE_LEVEL_CAP = 12
 CANTOR_LEVEL_CAP = 20
+NETWORK_NODE_CAP = 10**6  # generated networks; admits a level-12 tree at s = 3 (797,161 nodes)
 
 _EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -199,6 +200,14 @@ def sierpinski_tree(params: SierpinskiTreeParams) -> WeightedNetwork:
     Starts from the single-node network; after k levels the node count is
     s*n_{k-1} + 1 and the fresh hub (highest id) is the current anchor.
     """
+    count = 1
+    for _ in range(params.levels):  # s >= 2, so past the cap within 20 steps
+        count = params.s * count + 1
+        if count > NETWORK_NODE_CAP:
+            raise ResourceLimitError(
+                f"tree with s={params.s}, levels={params.levels} exceeds cap "
+                f"{NETWORK_NODE_CAP} nodes"
+            )
     n = 1
     edges: list = []
     anchor = 0
@@ -220,6 +229,8 @@ def line_network(n: int) -> WeightedNetwork:
     """Path graph on n nodes, unit weights."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > NETWORK_NODE_CAP:
+        raise ResourceLimitError(f"line of {n} nodes exceeds cap {NETWORK_NODE_CAP} nodes")
     return WeightedNetwork(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 

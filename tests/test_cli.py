@@ -62,6 +62,23 @@ class TestGenerate:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["sierpinski-tree", "--levels", "1000000"],
+            ["sierpinski-tree", "--s", "1000000000", "--levels", "2"],
+            ["line", "--n", str(10**12)],
+        ],
+        ids=["tree-levels", "tree-s", "line-n"],
+    )
+    def test_network_over_node_cap_exit5(self, capsys, flags):
+        # the node count is checked before any edge exists, so each case returns at once
+        code, out, err = run_cli(["generate", *flags], capsys)
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "exceeds cap 1000000 nodes" in err
+
     def test_missing_param_usage_error(self, capsys):
         code, _, err = run_cli(["generate", "cantor"], capsys)
         assert code == 2
@@ -341,11 +358,18 @@ class TestEstimate:
             ("box", ["--eps-min", "1e-20", "--eps-max", "10"], "overflow int64"),
             ("magnitude-dim", ONE_SAMPLE_WINDOW, "window (3, 4) invalid for 10 samples"),
             ("alpha-magnitude-dim", ONE_SAMPLE_WINDOW, "window (3, 4) invalid for 10 samples"),
+            ("box", ["--eps-min", "0.01"], "--eps-min and --eps-max must be given together"),
+            ("correlation", ["--eps-max", "0.5"],
+             "--eps-min and --eps-max must be given together"),
+            ("box", ["--eps-count", "30"], "--eps-count requires --eps-min and --eps-max"),
+            ("internal-scaling", ["--input", "n.edges", "--eps-min", "1", "--eps-count", "30"],
+             "--eps-min and --eps-max must be given together"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
              "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
              "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
-             "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha"],
+             "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha",
+             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message
@@ -358,23 +382,6 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert message in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["estimate", "magnitude-dim", "--input", "s.csv", "--threads", "0"],
-            ["estimate", "box", "--input", "s.csv", "--threads", "-3"],
-            ["bench", "classic", "--threads", "0"],
-        ],
-        ids=["magnitude-zero", "box-negative", "bench-zero"],
-    )
-    def test_threads_below_one_exit2(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        save_pointcloud(sierpinski_triangle(2), tmp_path / "s.csv")
-        code, out, err = run_cli(argv, capsys)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --threads must be at least 1\n"
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -28,8 +27,6 @@ from fracdim import (
     vietoris_rips,
 )
 from oracles import cholesky_magnitude, naive_magnitude, naive_persistent_magnitude
-
-magnitude_module = importlib.import_module("fracdim.magnitude")
 
 
 def two_point_metric(d):
@@ -144,35 +141,6 @@ class TestMagnitudeFunction:
         assert all(samples.accepted())
         for t, value in zip(grid, samples.values):
             assert value == pytest.approx(naive_magnitude(dist * t), abs=1e-10)
-
-    def test_threads_do_not_change_values(self, random_cloud):
-        # 1 to 7 threads cut the 5-entry grid into 1 to 5 chunks
-        metric = euclidean_metric(random_cloud(25, seed=14))
-        grid = [0.5, 1.0, 2.0, 4.0, 8.0]
-        runs = [magnitude_function(metric, grid, threads=k) for k in (1, 2, 3, 7)]
-        for run in runs[1:]:
-            assert np.array(run.values).tobytes() == np.array(runs[0].values).tobytes()
-            assert np.array(run.residuals).tobytes() == np.array(runs[0].residuals).tobytes()
-
-    @pytest.mark.parametrize(
-        "threads, cpus, expected",
-        [(64, 64, 5), (64, 3, 3), (2, 64, 2), (64, None, 1), (None, 64, 1), (0, 64, 1)],
-    )
-    def test_workers_bounded_by_grid_and_cpus(self, monkeypatch, threads, cpus, expected):
-        # each worker holds two n x n buffers, so --threads 64 must not mean 64 of them
-        calls = []
-
-        def recording_map(fn, items, workers=None):
-            items = list(items)
-            calls.append((len(items), workers))
-            return [fn(item) for item in items]
-
-        monkeypatch.setattr(magnitude_module.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(magnitude_module, "parallel_map", recording_map)
-        grid = [1.0, 2.0, 3.0, 4.0, 5.0]
-        samples = magnitude_function(two_point_metric(1.0), grid, threads=threads)
-        assert calls == [(expected, expected)]
-        assert samples.values == magnitude_function(two_point_metric(1.0), grid).values
 
 
 class TestPersistentMagnitude:

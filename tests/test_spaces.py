@@ -127,6 +127,14 @@ class TestSierpinskiTree:
         with pytest.raises(ValueError):
             SierpinskiTreeParams(3, 0.5, -1)
 
+    def test_node_cap(self, monkeypatch):
+        # the cap admits a level-12 tree at s = 3, which is too large to build here
+        assert (3**13 - 1) // 2 <= spaces.NETWORK_NODE_CAP < (3**14 - 1) // 2
+        monkeypatch.setattr(spaces, "NETWORK_NODE_CAP", 40)
+        assert sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3)).node_count == 40
+        with pytest.raises(ResourceLimitError):
+            sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
+
 
 class TestLineNetwork:
     def test_single_node(self):
@@ -137,6 +145,12 @@ class TestLineNetwork:
     def test_five_nodes(self):
         net = line_network(5)
         assert net.edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0))
+
+    def test_node_cap(self, monkeypatch):
+        monkeypatch.setattr(spaces, "NETWORK_NODE_CAP", 40)
+        assert line_network(40).node_count == 40
+        with pytest.raises(ResourceLimitError):
+            line_network(41)
 
 
 class TestShortestPathMetric:
