@@ -383,6 +383,26 @@ class TestEstimate:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "magnitude-dim", "--input", "s.csv", "--threads", "2"],
+            ["estimate", "box", "--input", "s.csv", "--threads", "1"],
+            ["bench", "classic", "--threads", "2"],
+        ],
+        ids=["magnitude", "box", "bench"],
+    )
+    def test_threads_flag_rejected_exit2(self, tmp_path, capsys, monkeypatch, argv):
+        # every estimate runs one serial path; --threads is an unknown argument
+        monkeypatch.chdir(tmp_path)
+        save_pointcloud(sierpinski_triangle(2), tmp_path / "s.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --threads" in captured.err
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "box", "--input", "x.csv", "--bogus", "1"])

@@ -142,6 +142,20 @@ class TestMagnitudeFunction:
         for t, value in zip(grid, samples.values):
             assert value == pytest.approx(naive_magnitude(dist * t), abs=1e-10)
 
+    def test_grid_split_does_not_change_values(self, random_cloud):
+        # every entry is solved from the metric alone, so cutting the grid
+        # into pieces and joining the results gives the same bits
+        metric = euclidean_metric(random_cloud(25, seed=14))
+        grid = [0.5, 1.0, 2.0, 4.0, 8.0]
+        whole = magnitude_function(metric, grid)
+        for cuts in ([2], [1, 3], [1, 2, 3, 4]):
+            bounds = [0, *cuts, len(grid)]
+            parts = [magnitude_function(metric, grid[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            values = [v for part in parts for v in part.values]
+            residuals = [r for part in parts for r in part.residuals]
+            assert np.array(values).tobytes() == np.array(whole.values).tobytes()
+            assert np.array(residuals).tobytes() == np.array(whole.residuals).tobytes()
+
 
 class TestPersistentMagnitude:
     def test_empty(self):
