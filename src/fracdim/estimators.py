@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -66,14 +66,13 @@ class DimensionEstimate:
     warnings: tuple = ()
 
     def to_json_dict(self) -> dict:
-        window = self.params.get("window", list(self.fit.window))
         return {
             "estimator": self.estimator,
             "value": self.value,
             "slope": self.fit.slope,
             "intercept": self.fit.intercept,
             "r2": self.fit.r2,
-            "window": list(window),
+            "window": list(self.params["window"]),
             "points": [list(p) for p in self.points],
             "params": dict(self.params),
             "warnings": list(self.warnings),
@@ -117,10 +116,30 @@ def _geometric_grid(hi, lo, count=12, decreasing=True):
     return [float(g) for g in grid]
 
 
-def _fit_warnings(fit):
+def _estimate(estimator, xs, ys, params, kept=None, value=None, lead=(), trail=()):
+    """The one place a DimensionEstimate is assembled.
+
+    Fits log ys against log xs over params["window"] and records the fitted
+    window there. With `kept`, the fit reads only the samples at those
+    indices and params["window"] stays as given. `value` maps the fit to the
+    estimate (default: its slope). The low-fit-quality warning goes between
+    the `lead` and `trail` warnings. Every sample is kept as a point.
+    """
+    if kept is None:
+        fit = loglog_fit(xs, ys, params["window"])
+        params["window"] = list(fit.window)
+    else:
+        fit = loglog_fit([xs[k] for k in kept], [ys[k] for k in kept])
     if fit.r2 < R2_WARN_THRESHOLD:
-        return (f"low fit quality: r2={fit.r2:.3f} < {R2_WARN_THRESHOLD}",)
-    return ()
+        lead = (*lead, f"low fit quality: r2={fit.r2:.3f} < {R2_WARN_THRESHOLD}")
+    return DimensionEstimate(
+        estimator,
+        fit.slope if value is None else value(fit),
+        fit,
+        tuple(zip(map(float, xs), map(float, ys))),
+        params,
+        (*lead, *trail),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -147,20 +166,8 @@ def box_counting_pointcloud(cloud: PointCloud, eps_grid=None, window=None) -> Di
     eps_grid = scale_grid(eps_grid, "eps", increasing=False)
     counts = [grid_box_count(cloud, e) for e in eps_grid]
     inv_eps = [1.0 / e for e in eps_grid]
-    fit = loglog_fit(inv_eps, counts, window)
-    params = {
-        "eps_grid": eps_grid,
-        "window": list(fit.window),
-        "n_points": cloud.n,
-    }
-    return DimensionEstimate(
-        "box",
-        fit.slope,
-        fit,
-        tuple(zip(inv_eps, [float(c) for c in counts])),
-        params,
-        _fit_warnings(fit),
-    )
+    params = {"eps_grid": eps_grid, "window": window, "n_points": cloud.n}
+    return _estimate("box", inv_eps, counts, params)
 
 
 def greedy_cover(net: WeightedNetwork, eps: float) -> list:
@@ -243,20 +250,8 @@ def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> Di
     eps_grid = scale_grid(eps_grid, "eps", increasing=False)
     counts = [len(greedy_cover(net, e)) for e in eps_grid]
     inv_eps = [1.0 / e for e in eps_grid]
-    fit = loglog_fit(inv_eps, counts, window)
-    params = {
-        "eps_grid": eps_grid,
-        "window": list(fit.window),
-        "n_nodes": net.node_count,
-    }
-    return DimensionEstimate(
-        "network-box",
-        fit.slope,
-        fit,
-        tuple(zip(inv_eps, [float(c) for c in counts])),
-        params,
-        _fit_warnings(fit),
-    )
+    params = {"eps_grid": eps_grid, "window": window, "n_nodes": net.node_count}
+    return _estimate("network-box", inv_eps, counts, params)
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +287,8 @@ def correlation_dimension(cloud: PointCloud, eps_grid=None, window=None) -> Dime
     c = pair_correlation(cloud, eps_grid)
     if any(v == 0.0 for v in c):
         raise ValueError("eps grid extends below the smallest pairwise distance")
-    fit = loglog_fit(eps_grid, c, window)
-    params = {
-        "eps_grid": eps_grid,
-        "window": list(fit.window),
-        "n_points": cloud.n,
-    }
-    return DimensionEstimate(
-        "correlation",
-        fit.slope,
-        fit,
-        tuple(zip(eps_grid, c)),
-        params,
-        _fit_warnings(fit),
-    )
+    params = {"eps_grid": eps_grid, "window": window, "n_points": cloud.n}
+    return _estimate("correlation", eps_grid, c, params)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +324,7 @@ class PHDimensionConfig:
             raise ValueError("fit_tail must lie in [2, len(n_schedule)]")
 
     def to_params(self) -> dict:
-        return {
-            "degree": self.degree,
-            "alpha": self.alpha,
-            "n_schedule": list(self.n_schedule),
-            "repeats": self.repeats,
-            "seed": self.seed,
-            "fit_tail": self.fit_tail,
-        }
+        return {**asdict(self), "n_schedule": list(self.n_schedule)}
 
 
 def power_weighted_sum(barcode, alpha: float) -> float:
@@ -382,42 +358,43 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate
         float(np.mean(sums[i : i + cfg.repeats]))
         for i in range(0, len(sums), cfg.repeats)
     ]
-    schedule = list(cfg.n_schedule)
-    lo = len(schedule) - cfg.fit_tail
+    count = len(cfg.n_schedule)
+    lo = count - cfg.fit_tail
     if any(e <= 0 for e in means[lo:]):
         raise UndefinedDimensionError(
             "power-weighted sums vanish inside the fit window; dimension undefined"
         )
-    fit = loglog_fit(schedule[lo:], means[lo:])
-    beta = fit.slope
-    if beta >= 1.0:
-        raise UndefinedDimensionError(
-            f"growth exponent beta={beta:.4f} >= 1; dimension alpha/(1-beta) undefined",
-            beta=beta,
-        )
-    params = {**cfg.to_params(), "input_points": cloud.n, "window": [lo, len(schedule)]}
-    return DimensionEstimate(
-        "ph-dim",
-        cfg.alpha / (1.0 - beta),
-        fit,
-        tuple(zip([float(n) for n in schedule], means)),
-        params,
-        _fit_warnings(fit),
-    )
+
+    def dimension(fit):
+        beta = fit.slope
+        if beta >= 1.0:
+            raise UndefinedDimensionError(
+                f"growth exponent beta={beta:.4f} >= 1; dimension alpha/(1-beta) undefined",
+                beta=beta,
+            )
+        return cfg.alpha / (1.0 - beta)
+
+    params = {**cfg.to_params(), "input_points": cloud.n, "window": [lo, count]}
+    return _estimate("ph-dim", cfg.n_schedule, means, params, range(lo, count), dimension)
 
 
 # ---------------------------------------------------------------------------
 # magnitude dimensions
 
 
-def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> DimensionEstimate:
-    """Slope of log Mag(tX) against log t over the window."""
+def _t_grid_and_window(t_grid, window):
+    """Checked scale grid and window bounds; the default grid t = 1..300 reads (40, 80)."""
     if t_grid is None:
         t_grid = [float(t) for t in range(1, 301)]
         if window is None:
             window = (40, 80)
     t_grid = scale_grid(t_grid, "t")
-    _window_bounds(window, len(t_grid))
+    return t_grid, _window_bounds(window, len(t_grid))
+
+
+def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> DimensionEstimate:
+    """Slope of log Mag(tX) against log t over the window."""
+    t_grid, window = _t_grid_and_window(t_grid, window)
     samples = magnitude_function(metric, t_grid)
     accepted = samples.accepted()
     if not all(accepted):
@@ -427,20 +404,8 @@ def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> Dimensi
             default=math.inf,
         )
         raise SingularSimilarityError(bad[0], worst)
-    fit = loglog_fit(samples.t_grid, samples.values, window)
-    params = {
-        "t_grid": [float(t) for t in samples.t_grid],
-        "window": list(fit.window),
-        "n_points": metric.size,
-    }
-    return DimensionEstimate(
-        "magnitude-dim",
-        fit.slope,
-        fit,
-        tuple(zip(samples.t_grid, samples.values)),
-        params,
-        _fit_warnings(fit),
-    )
+    params = {"t_grid": t_grid, "window": window, "n_points": metric.size}
+    return _estimate("magnitude-dim", t_grid, samples.values, params)
 
 
 def alpha_magnitude_dimension(
@@ -452,40 +417,19 @@ def alpha_magnitude_dimension(
     where the signed sum is non-positive are excluded from the fit with
     a warning.
     """
-    if t_grid is None:
-        t_grid = [float(t) for t in range(1, 301)]
-        if window is None:
-            window = (40, 80)
-    t_grid = scale_grid(t_grid, "t")
-    lo, hi = _window_bounds(window, len(t_grid))
+    t_grid, (lo, hi) = _t_grid_and_window(t_grid, window)
     barcodes = persistence(alpha_complex_2d(cloud), max_degree)
     values = persistent_magnitude_curve(barcodes, t_grid)
     kept = [k for k in range(lo, hi) if values[k] > 0.0]
-    warnings = []
-    if len(kept) < hi - lo:
-        dropped = [t_grid[k] for k in range(lo, hi) if values[k] <= 0.0]
-        warnings.append(
-            f"excluded {len(dropped)} non-positive magnitude values at t={dropped}"
-        )
+    dropped = [t_grid[k] for k in range(lo, hi) if values[k] <= 0.0]
     if len(kept) < 2:
         raise UndefinedDimensionError(
             "fewer than 2 positive alpha-magnitude values in the fit window"
         )
-    fit = loglog_fit([t_grid[k] for k in kept], [values[k] for k in kept])
-    params = {
-        "t_grid": t_grid,
-        "window": [lo, hi],
-        "max_degree": max_degree,
-        "n_points": cloud.n,
-    }
-    return DimensionEstimate(
-        "alpha-magnitude-dim",
-        fit.slope,
-        fit,
-        tuple(zip(t_grid, values)),
-        params,
-        tuple(warnings) + _fit_warnings(fit),
-    )
+    params = {"t_grid": t_grid, "window": [lo, hi], "max_degree": max_degree, "n_points": cloud.n}
+    excluded = f"excluded {len(dropped)} non-positive magnitude values at t={dropped}"
+    lead = [excluded] if dropped else []
+    return _estimate("alpha-magnitude-dim", t_grid, values, params, kept, lead=lead)
 
 
 # ---------------------------------------------------------------------------
@@ -520,22 +464,8 @@ def internal_scaling_dimension(
         return [np.searchsorted(row, eps_grid, side="right") for row in rows]
 
     if node is not None:
-        ys = np.array(ball_counts([int(node)])[0], dtype=np.float64)
-        fit = loglog_fit(eps_grid, ys, window)
-        params = {
-            "node": int(node),
-            "eps_grid": eps_grid,
-            "window": list(fit.window),
-            "n_nodes": n,
-        }
-        return DimensionEstimate(
-            "internal-scaling",
-            fit.slope,
-            fit,
-            tuple(zip(eps_grid, [float(c) for c in ys])),
-            params,
-            _fit_warnings(fit),
-        )
+        params = {"node": int(node), "eps_grid": eps_grid, "window": window, "n_nodes": n}
+        return _estimate("internal-scaling", eps_grid, ball_counts([int(node)])[0], params)
 
     counts = np.empty((n, len(eps_grid)))
     for start in range(0, n, ROW_BLOCK):
@@ -543,33 +473,23 @@ def internal_scaling_dimension(
         counts[start:stop] = ball_counts(range(start, stop))
     log_counts = np.log(counts)
     mean_log = np.exp(log_counts.mean(axis=0))  # geometric mean counts
-    fit = loglog_fit(eps_grid, mean_log, window)
-    lo, hi = fit.window
+    lo, hi = _window_bounds(window, len(eps_grid))  # the fit's window
     lx = np.log(eps_grid)[lo:hi]
     lx_c = lx - lx.mean()
     per_node = (log_counts[:, lo:hi] @ lx_c) / float(lx_c @ lx_c)
     spread = float(per_node.max() - per_node.min())
-    warnings = list(_fit_warnings(fit))
     has_dimension = spread <= agreement_tol
-    if not has_dimension:
-        warnings.append(
-            f"per-node estimates spread {spread:.3f} exceeds tolerance {agreement_tol}; "
-            "network has no single internal scaling dimension"
-        )
     params = {
         "node": "all",
         "eps_grid": eps_grid,
-        "window": list(fit.window),
+        "window": window,
         "agreement_tol": agreement_tol,
         "per_node_spread": spread,
         "has_internal_scaling_dimension": has_dimension,
         "n_nodes": n,
     }
-    return DimensionEstimate(
-        "internal-scaling",
-        fit.slope,
-        fit,
-        tuple(zip(eps_grid, [float(c) for c in mean_log])),
-        params,
-        tuple(warnings),
-    )
+    trail = [] if has_dimension else [
+        f"per-node estimates spread {spread:.3f} exceeds tolerance {agreement_tol}; "
+        "network has no single internal scaling dimension"
+    ]
+    return _estimate("internal-scaling", eps_grid, mean_log, params, trail=trail)
