@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or parse error, 3 undefined dimension,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -47,6 +48,14 @@ _EXIT_CODES = (
 )
 
 
+class _Given(argparse.Action):
+    """Store an estimator flag and append it to `given`, in command-line order."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="fracdim",
@@ -71,27 +80,30 @@ def _build_parser():
     est.add_argument("--seed", type=int, default=42)
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
+    # estimator flags: each ESTIMATORS row names the ones its runner reads
+    est.set_defaults(given=())
+    flag = functools.partial(est.add_argument, action=_Given)
     # eps-grid estimators
-    est.add_argument("--eps-min", type=float, default=None)
-    est.add_argument("--eps-max", type=float, default=None)
-    est.add_argument("--eps-count", type=int, default=None, help="grid entries (default 12)")
-    est.add_argument("--fit-lo", type=int, default=None)
-    est.add_argument("--fit-hi", type=int, default=None)
+    flag("--eps-min", type=float, default=None)
+    flag("--eps-max", type=float, default=None)
+    flag("--eps-count", type=int, default=None, help="grid entries (default 12)")
+    flag("--fit-lo", type=int, default=None)
+    flag("--fit-hi", type=int, default=None)
     # ph-dim family
-    est.add_argument("--degree", type=int, default=0)
-    est.add_argument("--alpha", type=float, default=1.0)
-    est.add_argument("--n-min", type=int, default=5)
-    est.add_argument("--n-max", type=int, default=200)
-    est.add_argument("--n-step", type=int, default=5)
-    est.add_argument("--repeats", type=int, default=5)
-    est.add_argument("--fit-tail", type=int, default=36)
+    flag("--degree", type=int, default=0)
+    flag("--alpha", type=float, default=1.0)
+    flag("--n-min", type=int, default=5)
+    flag("--n-max", type=int, default=200)
+    flag("--n-step", type=int, default=5)
+    flag("--repeats", type=int, default=5)
+    flag("--fit-tail", type=int, default=36)
     # magnitude family
-    est.add_argument("--t-min", type=float, default=1.0)
-    est.add_argument("--t-max", type=float, default=300.0)
-    est.add_argument("--t-step", type=float, default=1.0)
-    est.add_argument("--max-degree", type=int, default=1)
+    flag("--t-min", type=float, default=1.0)
+    flag("--t-max", type=float, default=300.0)
+    flag("--t-step", type=float, default=1.0)
+    flag("--max-degree", type=int, default=1)
     # internal scaling
-    est.add_argument("--node", default="all", help="node id or 'all'")
+    flag("--node", default="all", help="node id or 'all'")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
     bench.add_argument("suite", choices=["classic"])
@@ -270,25 +282,36 @@ def _run_internal_scaling(args, net):
     )
 
 
-# name -> (accepted input kinds, runner(args, space) -> DimensionEstimate)
+_EPS_FLAGS = ("--eps-min", "--eps-max", "--eps-count", "--fit-lo", "--fit-hi")
+_T_FLAGS = ("--t-min", "--t-max", "--t-step", "--fit-lo", "--fit-hi")
+_PH_FLAGS = ("--degree", "--alpha", "--n-min", "--n-max", "--n-step", "--repeats", "--fit-tail")
+
+# name -> (accepted input kinds, runner(args, space) -> DimensionEstimate, flags the runner
+# reads); --input, --kind, --seed, --out and --format are common to every estimator
 ESTIMATORS = {
-    "box": (("cloud", "network"), _run_box),
-    "correlation": (("cloud",), _run_correlation),
-    "ph-dim": (("cloud",), _run_ph),
-    "magnitude-dim": (("cloud", "network"), _run_magnitude),
-    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude),
-    "internal-scaling": (("network",), _run_internal_scaling),
+    "box": (("cloud", "network"), _run_box, _EPS_FLAGS),
+    "correlation": (("cloud",), _run_correlation, _EPS_FLAGS),
+    "ph-dim": (("cloud",), _run_ph, _PH_FLAGS),
+    "magnitude-dim": (("cloud", "network"), _run_magnitude, _T_FLAGS),
+    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude, (*_T_FLAGS, "--max-degree")),
+    "internal-scaling": (("network",), _run_internal_scaling, (*_EPS_FLAGS, "--node")),
 }
 
 
 def _cmd_estimate(args):
+    kinds, runner, flags = ESTIMATORS[args.estimator]
+    unread = [f for f in args.given if f not in flags]
+    if unread:
+        raise UsageError(
+            f"estimator {args.estimator!r} does not read {unread[0]}; "
+            f"its flags: {', '.join(flags)}"
+        )
     kind = args.kind or _sniff_kind(args.input)
-    kinds, runner = ESTIMATORS[args.estimator]
     if kind not in kinds:
         raise UsageError(
             f"estimator {args.estimator!r} does not accept {kind} input; "
             f"valid pairs: "
-            + ", ".join(f"{e}<-{'|'.join(k)}" for e, (k, _) in sorted(ESTIMATORS.items()))
+            + ", ".join(f"{e}<-{'|'.join(k)}" for e, (k, *_) in sorted(ESTIMATORS.items()))
         )
     space = io.load_pointcloud(args.input) if kind == "cloud" else io.load_network(args.input)
     result = runner(args, space)

@@ -364,12 +364,16 @@ class TestEstimate:
             ("box", ["--eps-count", "30"], "--eps-count requires --eps-min and --eps-max"),
             ("internal-scaling", ["--input", "n.edges", "--eps-min", "1", "--eps-count", "30"],
              "--eps-min and --eps-max must be given together"),
+            ("magnitude-dim", ["--eps-min", "0.01", "--n-max", "7"],
+             "estimator 'magnitude-dim' does not read --eps-min"),
+            ("box", ["--t-max", "5", "--degree", "3"], "estimator 'box' does not read --t-max"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
              "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
              "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
              "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha",
-             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound"],
+             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound",
+             "unread-flag-magnitude", "unread-flag-box"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message
@@ -419,7 +423,7 @@ SMOKE_FLAGS = {
 
 @pytest.mark.parametrize(
     "estimator, kind",
-    [(name, kind) for name, (kinds, _) in ESTIMATORS.items() for kind in kinds],
+    [(name, kind) for name, (kinds, *_) in ESTIMATORS.items() for kind in kinds],
 )
 def test_every_table_entry_runs_on_each_accepted_kind(tmp_path, capsys, estimator, kind):
     if kind == "cloud":
