@@ -20,6 +20,10 @@ from .spaces import MetricView, PointCloud
 # vietoris_rips plus persistence peak at 221-309 bytes of RSS per simplex
 # (2- to 4-skeleta), so a complex at the cap stays under about 4.6 GB
 DEFAULT_SIMPLEX_CAP = 15_000_000
+# alpha_complex_2d treats a triangle as flat (collinear up to rounding) when
+# twice its area is at most this times its longest edge squared, that is
+# when the sine of its smallest angle is below about this
+FLAT_TRIANGLE_TOL = 1e-12
 
 
 def simplex_cap() -> int:
@@ -187,7 +191,9 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     Delaunay triangulation filtered by the smallest radius at which the
     Voronoi-restricted balls around a simplex's vertices meet: the
     circumradius for Gabriel simplices, the smallest encroaching coface
-    value otherwise.
+    value otherwise. Qhull returns triangles that are collinear up to
+    rounding (see FLAT_TRIANGLE_TOL): each enters with its last edge, and
+    its longest side with the path through its middle vertex.
     """
     if cloud.dim != 2:
         raise ValueError("alpha complex requires 2-d points")
@@ -222,7 +228,13 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = (sa * (by - cy) + sb * (cy - ay) + sc * (ay - by)) / den
         uy = (sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax)) / den
-    radius = np.where(den == 0.0, np.inf, np.hypot(ax - ux, ay - uy))  # circumradius
+    radius = np.hypot(ax - ux, ay - uy)  # circumradius
+    # flatness from the sides at a, so that the test is relative to their lengths
+    (abx, aby), (acx, acy) = (bx - ax, by - ay), (cx - ax, cy - ay)
+    longest = np.maximum(abx**2 + aby**2, acx**2 + acy**2)
+    longest = np.maximum(longest, (bx - cx) ** 2 + (by - cy) ** 2)
+    flat = np.abs(abx * acy - aby * acx) <= FLAT_TRIANGLE_TOL * longest
+    radius[flat] = np.inf
 
     # one row per (edge, triangle) incidence, triangle by triangle in each third
     ends = np.concatenate((tris[:, [0, 1]], tris[:, [0, 2]], tris[:, [1, 2]]))
@@ -237,9 +249,20 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     # coface circumradii are >= the half-length for Gabriel edges up to
     # rounding at right-angle ties, so the min keeps the filtration monotone
     value = np.where(encroached, value, np.minimum(value, half[first]))
-    # only zero-area (collinear) cofaces: Qhull slivers along the hull
+    # A flat triangle's longest side runs past its middle vertex: it enters
+    # once the path through that vertex has, whose sides may themselves be
+    # the longest sides of other flat triangles (a fan along a line)
+    sides = edge.reshape(3, -1)[:, flat]
+    short, other, chord = np.take_along_axis(sides, np.argsort(half[first][sides], 0), 0)
+    while True:
+        before = value[chord]
+        path = np.maximum(np.maximum(value[short], value[other]), half[first][chord])
+        np.minimum.at(value, chord, path)
+        if np.array_equal(value[chord], before):
+            break
+    # only flat cofaces: Qhull slivers along the hull
     value = np.where(np.isfinite(value), value, half[first])
-    # a zero-area triangle enters with its last edge
+    # a flat triangle enters with its last edge
     radius = np.where(np.isfinite(radius), radius, value[edge].reshape(3, -1).max(axis=0))
     return FilteredComplex(
         (np.arange(cloud.n)[:, None], ends[first], tris), (np.zeros(cloud.n), value, radius)

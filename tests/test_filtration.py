@@ -12,6 +12,7 @@ from fracdim import (
     ResourceLimitError,
     Simplex,
     alpha_complex_2d,
+    derive_seed,
     euclidean_metric,
     h0_union_find,
     persistence,
@@ -23,9 +24,25 @@ from fracdim import (
 from fracdim.filtration import FilteredComplex, simplex_cap
 from oracles import naive_persistence_pairs
 
+SLOPES = (math.sqrt(2), math.sqrt(3), math.pi / 3, (1 + math.sqrt(5)) / 2, -math.e)
+
 
 def two_point_metric(d):
     return MetricView(np.array([[0.0, d], [d, 0.0]]))
+
+
+def latest_alpha_death_over_jung_radius(points):
+    """Latest finite alpha bar in degrees 0 and 1, over diam/sqrt(3).
+
+    The union of radius-r balls is star-shaped about the centre of the
+    smallest enclosing circle once r reaches its radius, which is at most
+    diam/sqrt(3) (Jung), so no finite bar may die later: the ratio is <= 1.
+    """
+    from scipy.spatial.distance import pdist
+
+    bars = persistence(alpha_complex_2d(PointCloud(points)), 1)
+    latest = max(iv.death for bc in bars for iv in bc.finite_intervals())
+    return latest / (pdist(points).max() / math.sqrt(3))
 
 
 def equilateral_metric(side):
@@ -201,6 +218,34 @@ class TestAlphaComplex:
         assert sorted(iv.death for iv in h0.finite_intervals()) == pytest.approx(
             sorted(iv.death / 2.0 for iv in mst.finite_intervals())
         )
+
+    def test_near_collinear_sierpinski_sample_has_no_late_bar(self):
+        # rows 478, 542 and 803 lie on the right side of the gasket, collinear
+        # up to rounding; that triangle once read a circumradius of 6.6e14
+        # and left the degree-1 bar [0.394, 6.6e14]
+        cloud = subsample(sierpinski_triangle(10), 834, derive_seed(42, 834, 6))
+        assert latest_alpha_death_over_jung_radius(cloud.points) <= 1.0
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(SLOPES), st.floats(-1.0, 1.0)), min_size=2, max_size=4),
+        st.sampled_from([1.0, 1e-2]),
+        st.integers(3, 30),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_points_on_lines_of_irrational_slope_leave_no_late_bar(
+        self, lines, spread, per_line, seed
+    ):
+        # points on each line are collinear up to rounding, so Qhull returns
+        # flat triangles along the lines; spread 1e-2 packs the lines close
+        rng = np.random.default_rng(seed)
+        xs = rng.random((len(lines), per_line))
+        points = np.unique(np.concatenate(
+            [np.c_[x, slope * x + spread * b] for (slope, b), x in zip(lines, xs)]
+        ), axis=0)
+        if np.linalg.matrix_rank(points - points[0]) < 2:
+            return  # one line: the collinear path, with no degree-1 bars
+        assert latest_alpha_death_over_jung_radius(points) <= 1.0
 
     def test_grid_cocircular_points(self):
         # 3x3 integer grid: maximally cocircular configuration
