@@ -34,7 +34,7 @@ from fracdim import (
     sierpinski_triangle,
     subsample,
 )
-from fracdim import spaces
+from fracdim import estimators, spaces
 from fracdim.estimators import grid_box_count, pair_correlation
 from fracdim.persistence import h0_union_find
 from oracles import (
@@ -518,6 +518,39 @@ class TestAlphaMagnitudeDimension:
         a = alpha_magnitude_dimension(cloud, t_grid=grid)
         b = alpha_magnitude_dimension(moved, t_grid=grid)
         assert a.value == pytest.approx(b.value, abs=1e-8)
+
+
+class TestWarnings:
+    def test_low_fit_quality(self):
+        # corners of a unit square: the box count steps from 1 to 4 and stays there
+        square = PointCloud(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        est = box_counting_pointcloud(square, [4.0, 2.0, 0.9, 0.45, 0.2])
+        assert [y for _, y in est.points] == [1.0, 1.0, 4.0, 4.0, 4.0]
+        assert est.fit.r2 < 0.9
+        assert est.warnings == (f"low fit quality: r2={est.fit.r2:.3f} < 0.9",)
+        assert box_counting_pointcloud(sierpinski_triangle(5)).warnings == ()
+
+    def test_internal_scaling_fit_warning_precedes_spread_warning(self):
+        # a path ending in a 10-leaf star: hub, leaves and path end grow differently
+        edges = [(i, i + 1, 1.0) for i in range(5)] + [(5, j, 1.0) for j in range(6, 16)]
+        est = internal_scaling_dimension(WeightedNetwork(16, edges), eps_grid=[0.9, 1.0, 1.9, 2.0])
+        assert est.fit.r2 < 0.9 and not est.params["has_internal_scaling_dimension"]
+        assert [w.split(" ")[0] for w in est.warnings] == ["low", "per-node"]
+
+    def test_alpha_magnitude_excluded_warning_precedes_fit_warning(self, monkeypatch):
+        grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        curve = [1.0, -2.0, 8.0, 0.0, 2.0, 30.0]
+        monkeypatch.setattr(estimators, "persistent_magnitude_curve", lambda bars, t: curve)
+        est = alpha_magnitude_dimension(sierpinski_triangle(2), t_grid=grid)
+        assert est.fit.r2 < 0.9
+        assert est.warnings == (
+            "excluded 2 non-positive magnitude values at t=[2.0, 4.0]",
+            f"low fit quality: r2={est.fit.r2:.3f} < 0.9",
+        )
+        # the fit reads the positive values alone, but every sample is a point
+        assert est.fit == loglog_fit([1.0, 3.0, 5.0, 6.0], [1.0, 8.0, 2.0, 30.0])
+        assert est.points == tuple(zip(grid, curve))
+        assert est.params["window"] == [0, 6]
 
 
 class TestDeterminism:
