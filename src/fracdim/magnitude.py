@@ -7,7 +7,11 @@ weighted interval count (-1)^i (e^-a - e^-b).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,61 @@ def _check_finite(metric: MetricView):
         raise ValueError("magnitude requires all distances finite")
 
 
+@functools.cache
+def _openblas_setters() -> tuple:
+    """openblas_set_num_threads_local of every loaded library that has it, found once.
+
+    Each shared object mapped into the process is asked for the symbol
+    (dlsym also searches its dependencies), and each distinct function is
+    kept once. MKL, Accelerate and OpenBLAS before 0.3.27 lack the symbol,
+    and only Linux has /proc/self/maps; the tuple is then empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            lines = [line for line in fh if "/" in line and ".so" in line]
+    except OSError:
+        return ()
+    setters = {}
+    for path in sorted({line[line.find("/") :].rstrip("\n") for line in lines}):
+        try:
+            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.setdefault(ctypes.cast(setter, ctypes.c_void_p).value, setter)
+    return tuple(setters.values())
+
+
+class _OneBlasThread:
+    """Every loaded OpenBLAS at one thread while any magnitude curve solves.
+
+    The setter is process-wide, so concurrent curves share one pin: the
+    first to enter sets each library to one thread and keeps the count it
+    returns, and the last to leave gives each library that count back.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._previous = ()
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._previous = tuple((setter, setter(1)) for setter in _openblas_setters())
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0:
+                for setter, count in self._previous:
+                    setter(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def _solve_curve(dist: np.ndarray, t_grid) -> list:
     """(magnitude, residual) of tX for each t; dist must be finite.
 
@@ -37,6 +96,15 @@ def _solve_curve(dist: np.ndarray, t_grid) -> list:
     Cholesky is exact for Euclidean-embeddable metrics; where it fails, a
     general symmetric solve on the untouched zeta. One iterative-refinement
     step either way.
+
+    The t loop runs with every loaded OpenBLAS at one thread (numpy's for
+    zeta @ w, scipy's for the factorisation and the solves), so values do
+    not depend on the BLAS thread setting, and each library gets its count
+    back afterwards. The setter is process-wide: BLAS calls from other
+    threads also run at one thread meanwhile. On a many-core host large-n
+    solves give up BLAS parallelism. Where no loaded library exports
+    openblas_set_num_threads_local, the solves run at the library's own
+    setting, and that setting can move values in the last bit.
     """
     n = dist.shape[0]
     if n == 0:
@@ -45,11 +113,12 @@ def _solve_curve(dist: np.ndarray, t_grid) -> list:
     zeta = np.empty((n, n))
     factor = np.empty((n, n), order="F")
     results = []
-    for t in t_grid:
-        np.multiply(dist, -t, out=zeta)
-        np.exp(zeta, out=zeta)
-        np.copyto(factor, zeta.T)  # zeta is exactly symmetric: a plain memcpy
-        results.append(_solve_in_buffers(zeta, factor, ones))
+    with _ONE_BLAS_THREAD:
+        for t in t_grid:
+            np.multiply(dist, -t, out=zeta)
+            np.exp(zeta, out=zeta)
+            np.copyto(factor, zeta.T)  # zeta is exactly symmetric: a plain memcpy
+            results.append(_solve_in_buffers(zeta, factor, ones))
     return results
 
 

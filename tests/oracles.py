@@ -8,7 +8,12 @@ helpers, persistent magnitude one interval at a time.
 """
 
 import heapq
+import io
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -208,6 +213,31 @@ def cholesky_magnitude(dist, t):
     w = scipy.linalg.cho_solve(factor, ones)
     w = w + scipy.linalg.cho_solve(factor, ones - zeta @ w)
     return float(w.sum())
+
+
+def cholesky_magnitudes_at_one_blas_thread(dist, grid):
+    """cholesky_magnitude of tX for each t, in a child Python under OPENBLAS_NUM_THREADS=1.
+
+    The BLAS thread count can move the last bit of a solve. The child has
+    one BLAS thread from its start, set by the environment alone, not by
+    the package. The metric goes in as .npy bytes, the values come back as
+    JSON (float repr round-trips exactly).
+    """
+    code = (
+        "import io, json, sys\n"
+        "import numpy as np\n"
+        "from oracles import cholesky_magnitude\n"
+        "dist = np.load(io.BytesIO(sys.stdin.buffer.read()))\n"
+        f"print(json.dumps([cholesky_magnitude(dist, t) for t in {[float(t) for t in grid]!r}]))\n"
+    )
+    buffer = io.BytesIO()
+    np.save(buffer, np.asarray(dist, dtype=float))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.path.dirname(__file__)}
+    child = subprocess.run(
+        [sys.executable, "-c", code], input=buffer.getvalue(), env=env,
+        capture_output=True, check=True,
+    )
+    return json.loads(child.stdout)
 
 
 def naive_persistent_magnitude(barcodes, t):

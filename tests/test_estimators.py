@@ -552,6 +552,17 @@ class TestWarnings:
         assert est.points == tuple(zip(grid, curve))
         assert est.params["window"] == [0, 6]
 
+    def test_ph_dimension_degree_one_warns_of_its_bias(self, random_cloud):
+        cfg = PHDimensionConfig(degree=1, n_schedule=range(20, 101, 10), repeats=2, fit_tail=9)
+        est = ph_dimension(random_cloud(300, seed=0), cfg)
+        # a uniform square (reference 2) read as 13.61, with a passing fit
+        assert est.value == pytest.approx(13.61, abs=0.005)
+        assert est.fit.r2 >= 0.9
+        assert est.warnings == (
+            "degree >= 1 Rips PH dimension read about twice the reference"
+            " at every sample size measured (n <= 350)",
+        )
+
 
 class TestDeterminism:
     def test_estimates_compare_equal_across_reruns(self):

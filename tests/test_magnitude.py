@@ -1,4 +1,10 @@
+import ctypes
+import importlib
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,11 +32,77 @@ from fracdim import (
     subsample,
     vietoris_rips,
 )
-from oracles import cholesky_magnitude, naive_magnitude, naive_persistent_magnitude
+from oracles import (
+    cholesky_magnitudes_at_one_blas_thread,
+    naive_magnitude,
+    naive_persistent_magnitude,
+)
+
+
+magnitude_module = importlib.import_module("fracdim.magnitude")
 
 
 def two_point_metric(d):
     return MetricView(np.array([[0.0, d], [d, 0.0]]))
+
+
+def k32_metric():
+    """K_{3,2}: distance 1 across the parts, 2 within them; zeta is
+    indefinite at t = 0.1, 0.2, 0.3 and positive definite at t = 0.5, 1."""
+    part = np.array([0, 0, 0, 1, 1])
+    dist = np.where(part[:, None] == part[None, :], 2.0, 1.0)
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+def openblas_libraries():
+    """(name, getter, setter) of each OpenBLAS mapped into this process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return []
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if getter is not None:
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+                found.append((os.path.basename(path), getter, setter))
+                break
+    return found
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """Every OpenBLAS at 2 threads, so that a pin to one shows; the old counts come back after."""
+    libraries = openblas_libraries()
+    if not libraries:
+        pytest.skip("no OpenBLAS with a thread getter is loaded")
+    old = [getter() for _, getter, _ in libraries]
+    for _, _, setter in libraries:
+        setter(2)
+
+    def counts():
+        return {name: getter() for name, getter, _ in libraries}
+
+    yield counts
+    for (_, _, setter), count in zip(libraries, old):
+        setter(count)
+
+
+def record_before_each_solve(monkeypatch, probe):
+    """Patch the per-t solve to append probe() before it runs; returns the list."""
+    seen = []
+    solve = magnitude_module._solve_in_buffers
+
+    def recording_solve(*args):
+        seen.append(probe())
+        return solve(*args)
+
+    monkeypatch.setattr(magnitude_module, "_solve_in_buffers", recording_solve)
+    return seen
 
 
 class TestMagnitudeClosedForms:
@@ -117,14 +189,10 @@ class TestMagnitudeFunction:
         grid = [float(t) for t in range(1, 101)]
         samples = magnitude_function(metric, grid)
         assert all(samples.accepted())
-        assert samples.values == tuple(cholesky_magnitude(metric.dist, t) for t in grid)
+        assert samples.values == tuple(cholesky_magnitudes_at_one_blas_thread(metric.dist, grid))
 
     def test_failed_cholesky_falls_back_then_buffers_are_reused(self, monkeypatch):
-        # K_{3,2}: distance 1 across the parts, 2 within them; zeta is
-        # indefinite at the first three t, positive definite at the last two
-        part = np.array([0, 0, 0, 1, 1])
-        dist = np.where(part[:, None] == part[None, :], 2.0, 1.0)
-        np.fill_diagonal(dist, 0.0)
+        dist = k32_metric()
         grid = [0.1, 0.2, 0.3, 0.5, 1.0]
         smallest = [np.linalg.eigvalsh(np.exp(-dist * t)).min() for t in grid]
         assert [e > 0 for e in smallest] == [False, False, False, True, True]
@@ -155,6 +223,108 @@ class TestMagnitudeFunction:
             residuals = [r for part in parts for r in part.residuals]
             assert np.array(values).tobytes() == np.array(whole.values).tobytes()
             assert np.array(residuals).tobytes() == np.array(whole.residuals).tobytes()
+
+
+class TestBlasThreads:
+    def test_value_does_not_depend_on_blas_thread_setting(self):
+        # the pinned value is the one OpenBLAS gives at one thread; at its
+        # default of 2 threads an unpinned solve read 1.7304974817694694
+        code = (
+            "from fracdim import euclidean_metric, magnitude_function, sierpinski_triangle, subsample\n"
+            "metric = euclidean_metric(subsample(sierpinski_triangle(7), 300, 1))\n"
+            "print(repr(magnitude_function(metric, [1.0]).values[0]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(magnitude_module.__file__))
+        values = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            child = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            values[threads] = child.stdout.strip()
+        assert values == {"1": "1.7304974817694692", "2": "1.7304974817694692"}
+
+    def test_each_solve_runs_at_one_thread_and_restores_counts(
+        self, openblas_at_two_threads, monkeypatch
+    ):
+        counts = openblas_at_two_threads
+        before = counts()
+        during = record_before_each_solve(monkeypatch, counts)
+        regular = magnitude_function(euclidean_metric(sierpinski_triangle(3)), [1.0, 2.0])
+        assert all(regular.accepted()) and counts() == before
+        fallback = magnitude_function(MetricView(k32_metric()), [0.1, 1.0])
+        assert all(fallback.accepted()) and counts() == before
+        failed = magnitude_function(MetricView(np.zeros((2, 2))), [1.0])
+        assert failed.residuals == (math.inf,) and counts() == before
+        assert during == [{name: 1 for name in before}] * 5
+
+    def test_counts_restored_when_a_solve_raises(self, openblas_at_two_threads, monkeypatch):
+        counts = openblas_at_two_threads
+        before = counts()
+
+        def failing_solve(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(magnitude_module, "_solve_in_buffers", failing_solve)
+        with pytest.raises(MemoryError):
+            magnitude_function(two_point_metric(1.0), [1.0])
+        assert counts() == before
+
+    def test_concurrent_curves_share_one_pin(self, openblas_at_two_threads):
+        # the setter is process-wide: a curve that ends while another still
+        # solves must not hand the threads back
+        counts = openblas_at_two_threads
+        before = counts()
+        with magnitude_module._ONE_BLAS_THREAD:
+            worker = threading.Thread(
+                target=magnitude_function, args=(two_point_metric(1.0), [1.0, 2.0])
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert counts() == {name: 1 for name in before}
+        assert counts() == before
+
+    def test_threads_solving_at_once_each_run_at_one_thread(
+        self, openblas_at_two_threads, monkeypatch
+    ):
+        counts = openblas_at_two_threads
+        before = counts()
+        pinned = {name: 1 for name in before}
+        seen = record_before_each_solve(monkeypatch, lambda: counts() == pinned)
+        metric = euclidean_metric(sierpinski_triangle(3))
+
+        def curves():
+            for _ in range(25):
+                magnitude_function(metric, [1.0, 2.0])
+
+        workers = [threading.Thread(target=curves) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(seen) == 4 * 25 * 2 and all(seen)
+        assert counts() == before
+
+    def test_solves_without_a_thread_setter(self, openblas_at_two_threads, monkeypatch):
+        # where no loaded BLAS exports the setter, curves solve at its own setting
+        counts = openblas_at_two_threads
+        before = counts()
+        metric = euclidean_metric(subsample(sierpinski_triangle(5), 100, 3))
+        grid = [0.5, 1.0, 2.0]
+        pinned = magnitude_function(metric, grid)
+        monkeypatch.setattr(magnitude_module, "_openblas_setters", lambda: ())
+        during = record_before_each_solve(monkeypatch, counts)
+        unpinned = magnitude_function(metric, grid)
+        assert all(unpinned.accepted())
+        assert unpinned.values == pytest.approx(pinned.values, rel=1e-12)
+        assert during == [before] * 3
 
 
 class TestPersistentMagnitude:
