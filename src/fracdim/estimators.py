@@ -43,7 +43,7 @@ from .spaces import (
 )
 
 R2_WARN_THRESHOLD = 0.9
-ROW_BLOCK = 256  # Dijkstra rows held at once: all-node internal scaling, first cover sizes
+ROW_BLOCK = 256  # Dijkstra rows held at once: all-node internal scaling, cover ball sizes
 
 
 @dataclass(frozen=True)
@@ -170,35 +170,64 @@ def box_counting_pointcloud(cloud: PointCloud, eps_grid=None, window=None) -> Di
     return _estimate("box", inv_eps, counts, params)
 
 
-def greedy_cover(net: WeightedNetwork, eps: float) -> list:
+def _ball_counts(rows: np.ndarray, radii) -> np.ndarray:
+    """(len(rows), len(radii)) counts of the entries <= each radius, per row.
+
+    Sorts `rows` in place, so no second block of its size is held.
+    """
+    rows.sort(axis=1)
+    return np.array([np.searchsorted(row, radii, side="right") for row in rows])
+
+
+def first_ball_sizes(graph, radii) -> np.ndarray:
+    """(n, len(radii)) unrestricted ball sizes of every node at every radius.
+
+    One pass of ROW_BLOCK-row Dijkstra searches bounded at the largest
+    radius. With positive weights a distance within the bound does not
+    depend on the bound, so each size equals that of a search bounded at
+    its own radius.
+    """
+    n = graph.shape[0]
+    sizes = np.empty((n, len(radii)), dtype=np.int64)
+    for start in range(0, n, ROW_BLOCK):
+        block = np.arange(start, min(start + ROW_BLOCK, n))
+        rows = dijkstra(graph, directed=True, indices=block, limit=max(radii))
+        sizes[block] = _ball_counts(rows, radii)
+    return sizes
+
+
+def greedy_cover(net: WeightedNetwork, eps: float, sizes=None) -> list:
     """Partition nodes into subnetworks of induced diameter <= eps.
 
     Greedy ball-growing: each round claims the radius-eps/2 ball (walked
     through uncovered nodes only, so parts stay internally connected)
     that covers the most uncovered nodes, ties broken by lowest centre
     id. Lazy re-evaluation: restricted balls only shrink as the cover
-    grows, so stale queue entries are safe to refresh on demand. Balls
-    come from scipy's Dijkstra on one sparse graph; memory is
-    O(ROW_BLOCK * n + m).
+    grows, so stale queue entries are safe to refresh on demand. Stale
+    entries at the top of the queue are refreshed together, 1, 2, 4, ...
+    up to ROW_BLOCK per search within a round; a refresh only makes an
+    upper bound exact, so the claimed ball is unchanged. `sizes` holds
+    every node's first ball size at radius eps/2 (`first_ball_sizes`),
+    computed here when None. Balls come from scipy's Dijkstra on one
+    sparse graph; memory is O(ROW_BLOCK * n + m).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
     n = net.node_count
     graph = csr_graph(net)
     radius = eps / 2.0
+    if sizes is None:
+        sizes = first_ball_sizes(graph, [radius])[:, 0]
 
     def within(sources):  # ball membership, one row per source
         return dijkstra(graph, directed=True, indices=sources, limit=radius) <= radius
 
-    heap = []
-    for start in range(0, n, ROW_BLOCK):
-        block = np.arange(start, min(start + ROW_BLOCK, n))
-        sizes = np.count_nonzero(within(block), axis=1)
-        heap.extend(zip((-sizes).tolist(), block.tolist()))
+    heap = list(zip((-sizes).tolist(), range(n)))
     heapq.heapify(heap)
     covered = np.zeros(n, dtype=bool)
     fresh = [0] * n  # round at which the queued size was computed
-    last_centre, last_ball = -1, None  # the most recent refresh
+    best = None  # (-size, centre, ball) of the largest ball refreshed this round
+    batch = 1  # stale entries refreshed by the next search
     rounds = 0
     parts = []
     while heap:
@@ -211,7 +240,9 @@ def greedy_cover(net: WeightedNetwork, eps: float) -> list:
             parts.extend([c] for c in np.flatnonzero(~covered).tolist())
             break
         if fresh[centre] == rounds:
-            part = last_ball if centre == last_centre else np.flatnonzero(within(centre))
+            # the top is exact and bounds every other entry, so after a
+            # refresh this round it is the largest refreshed ball
+            part = best[2] if best else np.flatnonzero(within(centre))
             covered[part] = True
             # Cut every edge into a covered node. The search must stay
             # directed: undirected mode takes min(G, G.T) and restores the
@@ -220,11 +251,28 @@ def greedy_cover(net: WeightedNetwork, eps: float) -> list:
             graph.data[covered[graph.indices]] = np.inf
             parts.append(part.tolist())
             rounds += 1
-        else:
-            # stale upper bound: refresh and requeue; sizes only shrink
-            last_centre, last_ball = centre, np.flatnonzero(within(centre))
-            fresh[centre] = rounds
-            heapq.heappush(heap, (-len(last_ball), centre))
+            best, batch = None, 1
+            continue
+        # stale upper bound: refresh it with the next stale entries and
+        # requeue them all; sizes only shrink
+        stale = [centre]
+        while len(stale) < batch and heap:
+            size, node = heap[0]
+            if covered[node]:
+                heapq.heappop(heap)
+            elif size == -1 or fresh[node] == rounds:
+                break
+            else:
+                stale.append(heapq.heappop(heap)[1])
+        balls = within(stale)
+        refreshed = (-np.count_nonzero(balls, axis=1)).tolist()
+        for size, node in zip(refreshed, stale):
+            fresh[node] = rounds
+            heapq.heappush(heap, (size, node))
+        top = min(zip(refreshed, stale))
+        if best is None or top < best[:2]:
+            best = (*top, np.flatnonzero(balls[stale.index(top[1])]))
+        batch = min(2 * batch, ROW_BLOCK)
     return parts
 
 
@@ -242,13 +290,28 @@ def _connected_diameter(net: WeightedNetwork) -> float:
     return diam
 
 
+def _default_eps_floor(net: WeightedNetwork, diam: float) -> float:
+    """Smallest edge weight, the small end of a default network eps grid.
+
+    Raises when the diameter equals it (a single edge, a unit-weight
+    complete graph): every default scale then sees the whole network.
+    """
+    lo = net.min_weight()
+    if diam <= lo:
+        raise DegenerateInputError(
+            "network diameter equals its smallest edge weight; no scale range to fit"
+        )
+    return lo
+
+
 def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> DimensionEstimate:
     """Greedy epsilon-node-covering count slope for a connected network."""
     diam = _connected_diameter(net)
     if eps_grid is None:
-        eps_grid = _geometric_grid(diam, net.min_weight())
+        eps_grid = _geometric_grid(diam, _default_eps_floor(net, diam))
     eps_grid = scale_grid(eps_grid, "eps", increasing=False)
-    counts = [len(greedy_cover(net, e)) for e in eps_grid]
+    sizes = first_ball_sizes(csr_graph(net), [e / 2.0 for e in eps_grid])
+    counts = [len(greedy_cover(net, e, sizes[:, k])) for k, e in enumerate(eps_grid)]
     inv_eps = [1.0 / e for e in eps_grid]
     params = {"eps_grid": eps_grid, "window": window, "n_nodes": net.node_count}
     return _estimate("network-box", inv_eps, counts, params)
@@ -458,26 +521,19 @@ def internal_scaling_dimension(
         raise ValueError(f"node {node} outside [0, {n})")
     diam = _connected_diameter(net)
     if eps_grid is None:
-        lo = net.min_weight() if net.edges else 1.0
+        lo = _default_eps_floor(net, diam)
         eps_grid = _geometric_grid(max(diam / 2.0, lo * 2.0), lo, decreasing=False)
         if window is None and len(eps_grid) >= 6:
             # the definition is an eps -> infinity limit: read the top half
             window = (len(eps_grid) // 2, len(eps_grid))
     eps_grid = scale_grid(eps_grid, "eps")
 
-    def ball_counts(sources):
-        rows = np.sort(shortest_path_rows(net, sources), axis=1)
-        return [np.searchsorted(row, eps_grid, side="right") for row in rows]
-
     if node is not None:
         params = {"node": int(node), "eps_grid": eps_grid, "window": window, "n_nodes": n}
-        return _estimate("internal-scaling", eps_grid, ball_counts([int(node)])[0], params)
+        counts = _ball_counts(shortest_path_rows(net, [int(node)]), eps_grid)[0]
+        return _estimate("internal-scaling", eps_grid, counts, params)
 
-    counts = np.empty((n, len(eps_grid)))
-    for start in range(0, n, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, n)
-        counts[start:stop] = ball_counts(range(start, stop))
-    log_counts = np.log(counts)
+    log_counts = np.log(first_ball_sizes(csr_graph(net), eps_grid))
     mean_log = np.exp(log_counts.mean(axis=0))  # geometric mean counts
     lo, hi = _window_bounds(window, len(eps_grid))  # the fit's window
     lx = np.log(eps_grid)[lo:hi]

@@ -246,13 +246,14 @@ def csr_graph(net: WeightedNetwork) -> csr_matrix:
     )
 
 
-def shortest_path_rows(net: WeightedNetwork, sources) -> np.ndarray:
+def shortest_path_rows(net: WeightedNetwork, sources, graph=None) -> np.ndarray:
     """(len(sources), n) single-source Dijkstra distances; inf between components.
 
     Row i holds d(sources[i], j) as summed along paths from the source.
+    `graph` is `csr_graph(net)` when the caller already holds it.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    return dijkstra(csr_graph(net), directed=False, indices=sources)
+    return dijkstra(csr_graph(net) if graph is None else graph, directed=False, indices=sources)
 
 
 def network_diameter(net: WeightedNetwork) -> float:
@@ -274,8 +275,9 @@ def network_diameter(net: WeightedNetwork) -> float:
     live = np.ones(n, dtype=bool)
     best = 0.0
     source = 0
+    graph = csr_graph(net)
     for sweep in range(n):
-        row = shortest_path_rows(net, [source])[0]
+        row = shortest_path_rows(net, [source], graph=graph)[0]
         ecc = float(row.max())
         if not math.isfinite(ecc):
             return math.inf

@@ -201,6 +201,20 @@ class TestEstimate:
         assert out == ""
         assert err == "error: shortest-path distances overflow float64\n"
 
+    @pytest.mark.parametrize("estimator", ["box", "internal-scaling"])
+    @pytest.mark.parametrize(
+        "edges", ["0 1 1\n", "0 1 1\n1 2 1\n0 2 1\n"], ids=["edge", "triangle"]
+    )
+    def test_no_default_scale_range_exit2(self, tmp_path, capsys, estimator, edges):
+        path = tmp_path / "net.edges"
+        path.write_text(edges)
+        code, out, err = run_cli(["estimate", estimator, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: network diameter equals its smallest edge weight; no scale range to fit\n"
+        )
+
     @pytest.mark.parametrize(
         "estimator", ["box", "correlation", "ph-dim", "magnitude-dim", "alpha-magnitude-dim"]
     )

@@ -45,7 +45,7 @@ from oracles import (
     naive_mst_total,
     naive_pair_fraction,
 )
-from test_spaces import random_connected_network
+from test_spaces import flower_22, random_connected_network
 
 LOG3_LOG2 = math.log(3) / math.log(2)
 # connected, but the 0-2 path length overflows float64
@@ -269,9 +269,10 @@ class TestBoxCountingNetwork:
             *(line_network(n) for n in (3, 5, 64, 201)),
             WeightedNetwork(9, tuple((0, i, 0.5 * i) for i in range(1, 9))),
             *(sierpinski_tree(SierpinskiTreeParams(3, 0.5, k)) for k in (2, 3, 4, 5)),
+            flower_22(3),
         ],
         ids=["line-3", "line-5", "line-64", "line-201", "star", "tree-2", "tree-3", "tree-4",
-             "tree-5"],
+             "tree-5", "flower-3"],
     )
     def test_greedy_cover_matches_naive_oracle(self, net):
         for eps in box_counting_network(net).params["eps_grid"]:
@@ -287,6 +288,38 @@ class TestBoxCountingNetwork:
         net = random_connected_network(seed)
         for eps in box_counting_network(net).params["eps_grid"]:
             assert greedy_cover(net, eps) == naive_greedy_cover(net, eps)
+
+    @pytest.mark.parametrize(
+        "net",
+        [line_network(201), sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4)), flower_22(3),
+         random_connected_network(0)],
+        ids=["line-201", "tree-4", "flower-3", "random-0"],
+    )
+    def test_counts_match_naive_oracle(self, net):
+        # the counts start from one first-ball pass over the whole grid
+        est = box_counting_network(net)
+        counts = [y for _, y in est.points]
+        assert counts == [len(naive_greedy_cover(net, eps)) for eps in est.params["eps_grid"]]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_ball_sizes_do_not_depend_on_the_search_bound(self, seed):
+        net = random_connected_network(seed)
+        radii = [eps / 2.0 for eps in box_counting_network(net).params["eps_grid"]]
+        together = estimators.first_ball_sizes(spaces.csr_graph(net), radii)
+        for k, radius in enumerate(radii):
+            alone = estimators.first_ball_sizes(spaces.csr_graph(net), [radius])
+            assert np.array_equal(together[:, k], alone[:, 0])
+
+    def test_line_2001_search_count(self, monkeypatch):
+        # one single-ball search per refresh made 8,756 calls; the grid's
+        # first-ball pass and block refreshes make 3,425
+        calls = []
+        search = estimators.dijkstra
+        monkeypatch.setattr(
+            estimators, "dijkstra", lambda *args, **kw: calls.append(1) or search(*args, **kw)
+        )
+        box_counting_network(line_network(2001))
+        assert len(calls) <= 4000
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
     def test_greedy_cover_eps_must_be_finite_and_positive(self, eps):
@@ -329,7 +362,43 @@ class TestBoxCountingNetwork:
             box_counting_network(g3, grid)
 
 
+class TestDefaultNetworkGrid:
+    NO_RANGE = "^network diameter equals its smallest edge weight; no scale range to fit$"
+    EDGE = WeightedNetwork(2, ((0, 1, 1.0),))
+    TRIANGLE = WeightedNetwork(3, ((0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)))
+
+    @pytest.mark.parametrize("estimator", [box_counting_network, internal_scaling_dimension])
+    @pytest.mark.parametrize("net", [EDGE, TRIANGLE], ids=["edge", "triangle"])
+    def test_no_scale_range_rejected(self, estimator, net):
+        with pytest.raises(DegenerateInputError, match=self.NO_RANGE):
+            estimator(net)
+
+    def test_explicit_grids_unchanged(self):
+        box = box_counting_network(self.TRIANGLE, [2.0, 1.0])
+        scaling = internal_scaling_dimension(self.TRIANGLE, eps_grid=[0.5, 1.0])
+        assert [y for _, y in box.points] == [1.0, 3.0]
+        assert [y for _, y in scaling.points] == pytest.approx([1.0, 3.0])  # geometric means
+        assert box.value == pytest.approx(LOG3_LOG2)
+        assert scaling.value == pytest.approx(LOG3_LOG2)
+
+
 class TestInternalScaling:
+    def test_all_nodes_build_the_graph_once_per_stage(self, monkeypatch):
+        # one graph for the diameter sweeps, one for the blocked ball-count pass
+        built = []
+        make = spaces.csr_graph
+
+        def counted(net):
+            built.append(net)
+            return make(net)
+
+        monkeypatch.setattr(spaces, "csr_graph", counted)
+        monkeypatch.setattr(estimators, "csr_graph", counted)
+        g5 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 5))
+        assert g5.node_count > estimators.ROW_BLOCK
+        internal_scaling_dimension(g5)
+        assert len(built) == 2
+
     def test_line_interior_node(self):
         est = internal_scaling_dimension(line_network(10001), node=5000)
         assert est.value == pytest.approx(1.0, abs=0.05)

@@ -194,14 +194,30 @@ def random_connected_network(seed):
     return WeightedNetwork(n, tuple((u, v, w) for (u, v), w in edges.items()))
 
 
+def flower_22(generation):
+    """(2,2)-flower (Rozenfeld, Havlin & ben-Avraham 2007), unit weights.
+
+    Starts from one link; each generation replaces every link by two
+    parallel two-link paths, so ties and cycles are everywhere.
+    """
+    edges, n = [(0, 1)], 2
+    for _ in range(generation):
+        longer = []
+        for a, b in edges:
+            longer += [(a, n), (n, b), (a, n + 1), (n + 1, b)]
+            n += 2
+        edges = longer
+    return WeightedNetwork(n, tuple((min(a, b), max(a, b), 1.0) for a, b in edges))
+
+
 def count_sweeps(monkeypatch):
     """Counts calls to spaces.shortest_path_rows made through the module."""
     calls = []
     rows = spaces.shortest_path_rows
 
-    def counted(net, sources):
+    def counted(net, sources, **kwargs):
         calls.append(list(sources))
-        return rows(net, sources)
+        return rows(net, sources, **kwargs)
 
     monkeypatch.setattr(spaces, "shortest_path_rows", counted)
     return calls
@@ -242,6 +258,23 @@ class TestNetworkDiameter:
         calls = count_sweeps(monkeypatch)
         network_diameter(net)
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("generation", [2, 3, 4])
+    def test_flower_exact_with_every_node_swept(self, generation, monkeypatch):
+        net = flower_22(generation)
+        assert net.node_count == (2 * 4**generation + 4) // 3
+        assert net.edge_count == 4**generation
+        calls = count_sweeps(monkeypatch)
+        diam = network_diameter(net)
+        assert diam == induced_diameter(net, range(net.node_count)) == 2**generation
+        assert len(calls) == net.node_count  # the eccentricity bounds never prune
+
+    def test_graph_built_once(self, monkeypatch):
+        built = []
+        make = spaces.csr_graph
+        monkeypatch.setattr(spaces, "csr_graph", lambda net: built.append(net) or make(net))
+        network_diameter(flower_22(3))
+        assert len(built) == 1
 
     def test_disconnected_inf(self):
         net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
