@@ -20,13 +20,14 @@ from .errors import (
     SingularSimilarityError,
     UndefinedDimensionError,
 )
-from .filtration import alpha_complex_2d, vietoris_rips
+from .filtration import BLOCK_CELLS, alpha_complex_2d, vietoris_rips
 from .magnitude import magnitude_function, persistent_magnitude_curve
 from .magnitude import (  # unused here; perfbench/tracer.py wraps them under this module
     persistent_magnitude,
     rescale_barcode,
 )
-from .persistence import h0_union_find, persistence
+from .persistence import h0_union_find  # unused here; perfbench/tracer.py wraps it
+from .persistence import persistence, spanning_forest_weights
 from .spaces import (
     MetricView,
     PointCloud,
@@ -392,31 +393,50 @@ class PHDimensionConfig:
 
 def power_weighted_sum(barcode, alpha: float) -> float:
     """Sum of |interval|^alpha over the finite intervals of a barcode."""
-    return float(sum(iv.length**alpha for iv in barcode.finite_intervals()))
+    return _power_sum((iv.length for iv in barcode.finite_intervals()), alpha)
+
+
+def _power_sum(lengths, alpha: float) -> float:
+    """Python-float sum of length**alpha in the given order."""
+    return float(sum(x**alpha for x in lengths))
 
 
 def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate:
     """PH dimension alpha/(1-beta) from power-weighted barcode sums of subsamples.
 
-    Degree 0 uses the union-find fast path; higher degrees reduce a
-    Vietoris-Rips complex built to degree + 1.
+    Degree 0 stacks the sample metrics of each size, at most BLOCK_CELLS
+    cells at a time, and reads their minimum-spanning-forest weights with
+    one Prim kernel per stack; higher degrees reduce a Vietoris-Rips
+    complex built to degree + 1.
     """
     if cfg.n_schedule[-1] > cloud.n:
         raise ValueError(
             f"largest subsample {cfg.n_schedule[-1]} exceeds cloud size {cloud.n}"
         )
 
-    def task(n, r):
-        sample = subsample(cloud, n, derive_seed(cfg.seed, n, r))
-        metric = euclidean_metric(sample)
-        if cfg.degree == 0:
-            bc = h0_union_find(metric)
-        else:
-            complex = vietoris_rips(metric, cfg.degree + 1, math.inf)
-            bc = persistence(complex, cfg.degree)[cfg.degree]
-        return power_weighted_sum(bc, cfg.alpha)
+    def metric(n, r):
+        return euclidean_metric(subsample(cloud, n, derive_seed(cfg.seed, n, r)))
 
-    sums = [task(n, r) for n in cfg.n_schedule for r in range(cfg.repeats)]
+    def h0_sums(n):
+        per = max(1, BLOCK_CELLS // (n * n))
+        stack = np.empty((min(per, cfg.repeats), n, n))
+        sums = []
+        for first in range(0, cfg.repeats, per):
+            block = stack[: min(per, cfg.repeats - first)]
+            for j in range(len(block)):
+                block[j] = metric(n, first + j).dist
+            for w in spanning_forest_weights(block):
+                sums.append(_power_sum(w[(w > 0) & (w < math.inf)].tolist(), cfg.alpha))
+        return sums
+
+    def rips_sum(n, r):
+        complex = vietoris_rips(metric(n, r), cfg.degree + 1, math.inf)
+        return power_weighted_sum(persistence(complex, cfg.degree)[cfg.degree], cfg.alpha)
+
+    if cfg.degree == 0:
+        sums = [s for n in cfg.n_schedule for s in h0_sums(n)]
+    else:
+        sums = [rips_sum(n, r) for n in cfg.n_schedule for r in range(cfg.repeats)]
     means = [
         float(np.mean(sums[i : i + cfg.repeats]))
         for i in range(0, len(sums), cfg.repeats)

@@ -133,12 +133,12 @@ class FilteredComplex:
         return "\n".join(f"{','.join(map(str, s.vertices))}:{s.value:.17g}" for s in self.simplices)
 
 
-_BLOCK_CELLS = 1 << 22  # candidate-mask entries held at a time
+BLOCK_CELLS = 1 << 22  # array cells held at a time: candidate masks, H0 metric stacks
 
 
 def _cofaces(upper, layer):
     """Blocks (first, mask): mask[r, u] when u is an upper neighbour of all of simplex first + r."""
-    block = max(1, _BLOCK_CELLS // max(len(upper), 1))
+    block = max(1, BLOCK_CELLS // max(len(upper), 1))
     for first in range(0, len(layer), block):
         rows = layer[first : first + block]
         mask = np.ones((len(rows), len(upper)), dtype=bool)

@@ -6,6 +6,8 @@ coboundary matrix reduced with clearing and apparent pairs, each column
 an integer bitset. Bauer, "Ripser: efficient computation of
 Vietoris-Rips persistence barcodes" (2021); de Silva, Morozov &
 Vejdemo-Johansson, "Dualities in persistent (co)homology" (2011).
+Degree-0 bars straight from distance matrices come from a dense Prim
+kernel that runs on a stack of matrices at once.
 """
 
 from __future__ import annotations
@@ -177,33 +179,53 @@ def _cohomology(complex: FilteredComplex, d: int, cleared: list, bars: list) -> 
     return list(owner)
 
 
+def spanning_forest_weights(dists) -> np.ndarray:
+    """Minimum-spanning-forest weights of each matrix in a (k, n, n) stack, ascending.
+
+    Dense Prim from vertex 0 in all k samples at once: each step adds, in
+    every sample, the vertex outside the tree that is nearest to it and
+    records that distance. Where no outside vertex is at a finite distance,
+    the lowest one starts a new component and inf is recorded. Returns a
+    (k, n - 1) array, each row sorted, infs last. Only the rows of each
+    matrix are read, so the matrices must be symmetric. The multiset of
+    minimum-spanning-forest weights is unique, so the rows equal Kruskal's
+    weights sorted.
+    """
+    dists = np.asarray(dists, dtype=np.float64)
+    k, n = dists.shape[:2]
+    out = np.empty((k, max(n - 1, 0)))
+    if n < 2:
+        return out
+    rows = dists.reshape(k * n, n)
+    first = np.arange(k) * n  # flat index of each sample's vertex 0
+    inside = np.zeros((k, n))  # 0 outside the tree, inf inside
+    inside[:, 0] = math.inf
+    best = dists[:, 0] + inside  # distance to the tree; inf inside it
+    for i in range(n - 1):
+        v = best.argmin(axis=1) + first
+        w = best.ravel()[v]
+        if w.max() == math.inf:
+            stuck = w == math.inf
+            v[stuck] = inside[stuck].argmin(axis=1) + first[stuck]
+        out[:, i] = w
+        inside.ravel()[v] = math.inf
+        best.ravel()[v] = math.inf
+        np.minimum(best, rows[v] + inside, out=best)
+    out.sort(axis=1)
+    return out
+
+
 def h0_union_find(metric: MetricView) -> Barcode:
     """Degree-0 barcode straight from the distance matrix.
 
-    Kruskal over the complete graph: one [0, w] interval per minimum
-    spanning tree edge weight, one [0, inf) per connected component
-    (infinite distances separate components).
+    One [0, w] interval per positive minimum-spanning-forest weight, one
+    [0, inf) per connected component (infinite distances separate
+    components). The forest comes from the Prim kernel
+    `spanning_forest_weights`; the name is kept for the public API and
+    for perfbench's tracer, which wraps it.
     """
-    n = metric.size
-    if n == 0:
-        return Barcode(0, ())
-    iu, ju = np.triu_indices(n, 1)
-    w = metric.dist[iu, ju]
-    finite = np.isfinite(w)
-    iu, ju, w = iu[finite], ju[finite], w[finite]
-    order = np.argsort(w, kind="stable")
-
-    parent = list(range(n))
-    deaths = []
-    for k in order:
-        a, b = _root(parent, int(iu[k])), _root(parent, int(ju[k]))
-        if a != b:
-            parent[a] = b
-            deaths.append(float(w[k]))
-            if len(deaths) == n - 1:
-                break
-
-    bars = [Interval(0.0, d) for d in deaths if d > 0]
-    bars.extend(Interval(0.0, math.inf) for _ in range(n - len(deaths)))
+    weights = spanning_forest_weights(metric.dist[None])[0]
+    finite = weights[weights < math.inf]
+    bars = [Interval(0.0, w) for w in finite[finite > 0].tolist()]
+    bars.extend(Interval(0.0, math.inf) for _ in range(metric.size - len(finite)))
     return Barcode(0, tuple(bars))
-

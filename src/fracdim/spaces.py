@@ -250,10 +250,12 @@ def shortest_path_rows(net: WeightedNetwork, sources, graph=None) -> np.ndarray:
     """(len(sources), n) single-source Dijkstra distances; inf between components.
 
     Row i holds d(sources[i], j) as summed along paths from the source.
-    `graph` is `csr_graph(net)` when the caller already holds it.
+    `graph` is `csr_graph(net)` when the caller already holds it. The graph
+    stores both directions of every edge, so a directed search reads the
+    undirected distances without scipy's transposed copy.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    return dijkstra(csr_graph(net) if graph is None else graph, directed=False, indices=sources)
+    return dijkstra(csr_graph(net) if graph is None else graph, directed=True, indices=sources)
 
 
 def network_diameter(net: WeightedNetwork) -> float:

@@ -2,9 +2,10 @@
 
 Deliberately naive implementations on separate code paths from the
 package: dense boundary-matrix reduction, loop-based counting, Prim MST,
-exhaustive minimal covers, a non-lazy greedy cover, a triangle-inequality
-scan, magnitude via explicit matrix inversion and via scipy's Cholesky
-helpers, persistent magnitude one interval at a time.
+Kruskal minimum spanning forests, exhaustive minimal covers, a non-lazy
+greedy cover, a triangle-inequality scan, magnitude via explicit matrix
+inversion and via scipy's Cholesky helpers, persistent magnitude one
+interval at a time.
 """
 
 import heapq
@@ -101,6 +102,34 @@ def naive_mst_total(points):
         d = np.sqrt(((pts - pts[u]) ** 2).sum(axis=1))
         best = np.where(~np.array(in_tree) & (d < best), d, best)
     return float(total)
+
+
+def naive_h0_deaths(dist):
+    """Kruskal over the upper triangle: the finite minimum-spanning-forest weights, ascending.
+
+    Edges in stable weight order, plain union-find with path halving;
+    infinite distances are not edges. Zero weights are kept.
+    """
+    d = np.asarray(dist)
+    n = len(d)
+    edges = sorted(
+        (float(d[i, j]), i, j) for i in range(n) for j in range(i + 1, n) if d[i, j] < math.inf
+    )
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    deaths = []
+    for w, i, j in edges:
+        a, b = root(i), root(j)
+        if a != b:
+            parent[a] = b
+            deaths.append(w)
+    return deaths
 
 
 def induced_diameter(net, nodes):

@@ -21,6 +21,7 @@ from fracdim import (
     box_counting_pointcloud,
     cantor_set,
     correlation_dimension,
+    derive_seed,
     euclidean_metric,
     greedy_cover,
     internal_scaling_dimension,
@@ -42,6 +43,7 @@ from oracles import (
     minimal_cover_size,
     naive_box_count,
     naive_greedy_cover,
+    naive_h0_deaths,
     naive_mst_total,
     naive_pair_fraction,
 )
@@ -230,6 +232,33 @@ class TestPHDimension:
     def test_schedule_exceeding_cloud_rejected(self):
         with pytest.raises(ValueError):
             ph_dimension(sierpinski_triangle(3), PHDimensionConfig())
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 1.7])
+    @pytest.mark.parametrize(
+        "schedule, cells",
+        [((1, 2, 3, 5, 8, 13, 21), estimators.BLOCK_CELLS), ((1, 4, 9, 16, 25, 30), 300)],
+        ids=["one-stack-per-size", "split-stacks"],
+    )
+    def test_degree0_sums_equal_kruskal_oracle(self, alpha, schedule, cells, monkeypatch):
+        monkeypatch.setattr(estimators, "BLOCK_CELLS", cells)
+        shapes = []
+        kernel = estimators.spanning_forest_weights
+        monkeypatch.setattr(estimators, "spanning_forest_weights",
+                            lambda stack: shapes.append(stack.shape) or kernel(stack))
+        cloud = PointCloud(np.random.default_rng(8).integers(0, 6, (60, 2)).astype(float))
+        cfg = PHDimensionConfig(alpha=alpha, n_schedule=schedule, fit_tail=4, seed=5)
+        est = ph_dimension(cloud, cfg)
+        oracle = []
+        for n in schedule:
+            sums = []
+            for r in range(cfg.repeats):
+                dist = euclidean_metric(subsample(cloud, n, derive_seed(cfg.seed, n, r))).dist
+                sums.append(float(sum(d**alpha for d in naive_h0_deaths(dist) if d > 0)))
+            oracle.append(float(np.mean(sums)))
+        assert [y for _, y in est.points] == oracle
+        assert sum(k for k, _, _ in shapes) == cfg.repeats * len(schedule)
+        assert all(k == 1 or k * n * n <= cells for k, n, _ in shapes)
+        assert len(shapes) > len(schedule) if cells == 300 else len(shapes) == len(schedule)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

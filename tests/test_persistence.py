@@ -22,7 +22,8 @@ from fracdim import (
     sierpinski_triangle,
     vietoris_rips,
 )
-from oracles import naive_persistence_pairs
+from fracdim.persistence import spanning_forest_weights
+from oracles import naive_h0_deaths, naive_persistence_pairs
 
 REFERENCE_VALUES = Path(__file__).resolve().parent.parent / "perfbench" / "reference_values.json"
 
@@ -293,3 +294,72 @@ def test_h0_oracle_equivalence_property(seed):
     fast = intervals_as_pairs(h0_union_find(metric))
     slow = intervals_as_pairs(persistence(vietoris_rips(metric, 1), 0)[0])
     assert fast == pytest.approx(slow)
+
+
+def kruskal_barcode_pairs(dist):
+    """The degree-0 bars that the oracle's Kruskal forest gives, as sorted pairs."""
+    deaths = naive_h0_deaths(dist)
+    finite = [(0.0, d) for d in deaths if d > 0]
+    return sorted(finite + [(0.0, math.inf)] * (len(dist) - len(deaths)))
+
+
+def kruskal_weight_row(dist):
+    """The oracle's forest weights padded with inf to n - 1 entries."""
+    deaths = naive_h0_deaths(dist)
+    return deaths + [math.inf] * (max(len(dist) - 1, 0) - len(deaths))
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """(k, n, n) stacks of symmetric integer metrics with zeros (duplicate points) and,
+    in some samples, inf (disconnected pairs)."""
+    n = draw(st.integers(0, 9))
+    k = draw(st.integers(1, 4))
+    stack = np.zeros((k, n, n))
+    upper = np.triu_indices(n, 1)
+    for sample in stack:
+        values = [0.0, 1.0, 2.0, 3.0] + ([math.inf] if draw(st.booleans()) else [])
+        sample[upper] = draw(st.lists(st.sampled_from(values), min_size=len(upper[0]),
+                                      max_size=len(upper[0])))
+        sample.T[upper] = sample[upper]
+    return stack
+
+
+class TestSpanningForestKernel:
+    @given(tie_heavy_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_and_h0_union_find_equal_kruskal_oracle(self, stack):
+        k, n = stack.shape[:2]
+        weights = spanning_forest_weights(stack)
+        assert weights.shape == (k, max(n - 1, 0))
+        for sample, row in zip(stack, weights):
+            assert row.tolist() == kruskal_weight_row(sample)
+            barcode = h0_union_find(MetricView(sample))
+            assert intervals_as_pairs(barcode) == kruskal_barcode_pairs(sample)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_sizes(self, n):
+        stack = np.zeros((3, n, n))
+        if n == 2:
+            stack[:, 0, 1] = stack[:, 1, 0] = [0.0, 2.5, math.inf]
+        weights = spanning_forest_weights(stack)
+        assert weights.shape == (3, max(n - 1, 0))
+        if n == 2:
+            assert weights.tolist() == [[0.0], [2.5], [math.inf]]
+        for sample in stack:
+            barcode = h0_union_find(MetricView(sample))
+            assert intervals_as_pairs(barcode) == kruskal_barcode_pairs(sample)
+
+    def test_stack_mixes_connected_and_disconnected_samples(self):
+        inf = math.inf
+        two_parts = np.array(
+            [[0, 1, inf, inf], [1, 0, inf, inf], [inf, inf, 0, 3], [inf, inf, 3, 0]])
+        isolated_first = np.array(
+            [[0, inf, inf, inf], [inf, 0, 2, 2], [inf, 2, 0, 0], [inf, 2, 0, 0]])
+        path = np.array([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]], float)
+        stack = np.stack([two_parts, isolated_first, path])
+        assert spanning_forest_weights(stack).tolist() == [
+            [1.0, 3.0, inf], [0.0, 2.0, inf], [1.0, 1.0, 1.0]
+        ]
+        for sample in stack:
+            assert spanning_forest_weights(sample[None])[0].tolist() == kruskal_weight_row(sample)

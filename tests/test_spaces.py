@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from fracdim import (
     MetricView,
@@ -194,6 +195,22 @@ def random_connected_network(seed):
     return WeightedNetwork(n, tuple((u, v, w) for (u, v), w in edges.items()))
 
 
+def random_network(seed):
+    """Seeded random network, often in several components.
+
+    Edges are drawn with repeats, one weight kept per pair (the network
+    type rejects duplicates); weights are small integers or uniform floats.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 80))
+    tied = bool(rng.integers(0, 2))
+    edges = {}
+    for _ in range(int(rng.integers(0, 2 * n))):
+        u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False))
+        edges[(u, v)] = float(rng.integers(1, 4)) if tied else float(rng.uniform(0.01, 10.0))
+    return WeightedNetwork(n, tuple((u, v, w) for (u, v), w in edges.items()))
+
+
 def flower_22(generation):
     """(2,2)-flower (Rozenfeld, Havlin & ben-Avraham 2007), unit weights.
 
@@ -280,6 +297,22 @@ class TestNetworkDiameter:
         net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
         assert network_diameter(net) == math.inf
         assert network_diameter(WeightedNetwork(3, ())) == math.inf
+
+    @pytest.mark.parametrize(
+        "net",
+        [sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4)), line_network(201), flower_22(4),
+         *(random_network(seed) for seed in range(20))],
+        ids=["tree-4", "line-201", "flower-4", *(f"random-{seed}" for seed in range(20))],
+    )
+    def test_directed_rows_equal_undirected_search(self, net):
+        sources = np.arange(net.node_count)
+        undirected = dijkstra(spaces.csr_graph(net), directed=False, indices=sources)
+        assert np.array_equal(shortest_path_rows(net, sources), undirected)
+
+    def test_random_networks_cover_several_components(self):
+        parts = [connected_components(spaces.csr_graph(random_network(seed)))[0]
+                 for seed in range(20)]
+        assert min(parts) == 1 and max(parts) > 1
 
     def test_rows_equal_dense_metric_rows(self):
         net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
