@@ -36,7 +36,6 @@ from .filtration import (
 )
 from .magnitude import (
     MagnitudeFunctionSamples,
-    alpha_magnitude,
     magnitude,
     magnitude_function,
     persistent_magnitude,

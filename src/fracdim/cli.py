@@ -75,8 +75,6 @@ def _build_parser():
     est = sub.add_parser("estimate", help="run one estimator on an input file")
     est.add_argument("estimator", choices=list(ESTIMATORS))
     est.add_argument("--input", required=True, help="point CSV or edge-list file")
-    est.add_argument("--kind", choices=["cloud", "network"], default=None,
-                     help="input kind (default: sniffed from content)")
     est.add_argument("--seed", type=int, default=42)
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=["json", "csv"], default="json")
@@ -101,14 +99,13 @@ def _build_parser():
     flag("--t-min", type=float, default=1.0)
     flag("--t-max", type=float, default=300.0)
     flag("--t-step", type=float, default=1.0)
-    flag("--max-degree", type=int, default=1)
     # internal scaling
     flag("--node", default="all", help="node id or 'all'")
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
     bench.add_argument("suite", choices=["classic"])
     bench.add_argument("--seed", type=int, default=42)
-    bench.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    bench.add_argument("--format", choices=["text", "json"], default="text")
     bench.add_argument("--out", default=None)
 
     return parser
@@ -204,8 +201,8 @@ def _window(args):
     return (args.fit_lo, args.fit_hi)
 
 
-def _t_grid_and_window(args):
-    """Scale grid from --t-min/--t-max/--t-step; window (40, 80) on grids of 80 or more."""
+def _t_grid(args):
+    """Scale grid from --t-min/--t-max/--t-step."""
     if not all(map(math.isfinite, (args.t_min, args.t_max, args.t_step))):
         raise UsageError("--t-min, --t-max and --t-step must be finite")
     if not args.t_step > 0:
@@ -214,11 +211,7 @@ def _t_grid_and_window(args):
         raise UsageError("--t-max must not lie below --t-min")
     count = round((args.t_max - args.t_min) / args.t_step, 0) + 1  # a float: inf stays inf
     _check_entries("--t-min, --t-max and --t-step", count)
-    t_grid = [args.t_min + k * args.t_step for k in range(int(count))]
-    window = _window(args)
-    if window is None and len(t_grid) >= 80:
-        window = (40, 80)
-    return t_grid, window
+    return [args.t_min + k * args.t_step for k in range(int(count))]
 
 
 def _ph_config(args):
@@ -260,11 +253,11 @@ def _run_magnitude(args, space):
         spaces.euclidean_metric(space) if isinstance(space, spaces.PointCloud)
         else spaces.shortest_path_metric(space)
     )
-    return estimators.magnitude_dimension(metric, *_t_grid_and_window(args))
+    return estimators.magnitude_dimension(metric, _t_grid(args), _window(args))
 
 
 def _run_alpha_magnitude(args, cloud):
-    return estimators.alpha_magnitude_dimension(cloud, *_t_grid_and_window(args), args.max_degree)
+    return estimators.alpha_magnitude_dimension(cloud, _t_grid(args), _window(args))
 
 
 def _node(args):
@@ -287,13 +280,13 @@ _T_FLAGS = ("--t-min", "--t-max", "--t-step", "--fit-lo", "--fit-hi")
 _PH_FLAGS = ("--degree", "--alpha", "--n-min", "--n-max", "--n-step", "--repeats", "--fit-tail")
 
 # name -> (accepted input kinds, runner(args, space) -> DimensionEstimate, flags the runner
-# reads); --input, --kind, --seed, --out and --format are common to every estimator
+# reads); --input, --seed, --out and --format are common to every estimator
 ESTIMATORS = {
     "box": (("cloud", "network"), _run_box, _EPS_FLAGS),
     "correlation": (("cloud",), _run_correlation, _EPS_FLAGS),
     "ph-dim": (("cloud",), _run_ph, _PH_FLAGS),
     "magnitude-dim": (("cloud", "network"), _run_magnitude, _T_FLAGS),
-    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude, (*_T_FLAGS, "--max-degree")),
+    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude, _T_FLAGS),
     "internal-scaling": (("network",), _run_internal_scaling, (*_EPS_FLAGS, "--node")),
 }
 
@@ -306,7 +299,7 @@ def _cmd_estimate(args):
             f"estimator {args.estimator!r} does not read {unread[0]}; "
             f"its flags: {', '.join(flags)}"
         )
-    kind = args.kind or _sniff_kind(args.input)
+    kind = _sniff_kind(args.input)
     if kind not in kinds:
         raise UsageError(
             f"estimator {args.estimator!r} does not accept {kind} input; "
@@ -362,10 +355,7 @@ def _classic_cells(seed):
         # magnitude reads a seeded 1000-point subsample over t = 1..100
         sub = cloud if cloud.n <= 1000 else spaces.subsample(cloud, 1000, sub_seed)
         cells += [(name, tag, ref, tag, cloud, {}) for tag in ("box", "correlation", "ph-dim")]
-        cells += [
-            (name, "magnitude-dim", ref, "magnitude-dim", sub, {"t_max": 100.0}),
-            (name, "alpha-magnitude-dim", ref, "alpha-magnitude-dim", cloud, {}),
-        ]
+        cells.append((name, "magnitude-dim", ref, "magnitude-dim", sub, {"t_max": 100.0}))
     for name, net, ref in (
         ("sierpinski-tree-6", spaces.sierpinski_tree(tree), LOG3_OVER_LOG2),
         ("line-2001", spaces.line_network(2001), 1.0),
@@ -429,19 +419,10 @@ def _format_bench_text(records):
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(value):
-    return "" if value is None else value if isinstance(value, str) else repr(value)
-
-
 def _cmd_bench(args):
     records = run_bench(args.suite, args.seed)
     if args.format == "json":
         _write_output(json.dumps(records, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        keys = ("space", "estimator", "status", "value", "reference", "deviation", "wall_time_s")
-        rows = [",".join(keys)]
-        rows += [",".join(_csv_cell(r[k]) for k in keys) for r in records]
-        _write_output("\n".join(rows) + "\n", args.out)
     else:
         sys.stdout.write(_format_bench_text(records))
         if args.out:

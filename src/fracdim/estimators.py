@@ -472,12 +472,12 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate
 
 
 def _t_grid_and_window(t_grid, window):
-    """Checked scale grid and window bounds; the default grid t = 1..300 reads (40, 80)."""
+    """Checked t grid (default 1..300) and window; no window reads (40, 80) on 80+ entries."""
     if t_grid is None:
         t_grid = [float(t) for t in range(1, 301)]
-        if window is None:
-            window = (40, 80)
     t_grid = scale_grid(t_grid, "t")
+    if window is None and len(t_grid) >= 80:
+        window = (40, 80)
     return t_grid, _window_bounds(window, len(t_grid))
 
 
@@ -497,17 +497,15 @@ def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> Dimensi
     return _estimate("magnitude-dim", t_grid, samples.values, params)
 
 
-def alpha_magnitude_dimension(
-    cloud: PointCloud, t_grid=None, window=None, max_degree: int = 1
-) -> DimensionEstimate:
+def alpha_magnitude_dimension(cloud: PointCloud, t_grid=None, window=None) -> DimensionEstimate:
     """Slope of log alpha-magnitude of tX against log t.
 
-    Barcodes are computed once and summed over the whole grid. Grid entries
+    Barcodes to degree 1 are computed once and summed over the whole grid. Grid entries
     where the signed sum is non-positive are excluded from the fit with
     a warning.
     """
     t_grid, (lo, hi) = _t_grid_and_window(t_grid, window)
-    barcodes = persistence(alpha_complex_2d(cloud), max_degree)
+    barcodes = persistence(alpha_complex_2d(cloud), 1)
     values = persistent_magnitude_curve(barcodes, t_grid)
     kept = [k for k in range(lo, hi) if values[k] > 0.0]
     dropped = [t_grid[k] for k in range(lo, hi) if values[k] <= 0.0]
@@ -515,7 +513,7 @@ def alpha_magnitude_dimension(
         raise UndefinedDimensionError(
             "fewer than 2 positive alpha-magnitude values in the fit window"
         )
-    params = {"t_grid": t_grid, "window": [lo, hi], "max_degree": max_degree, "n_points": cloud.n}
+    params = {"t_grid": t_grid, "window": [lo, hi], "max_degree": 1, "n_points": cloud.n}
     excluded = f"excluded {len(dropped)} non-positive magnitude values at t={dropped}"
     lead = [excluded] if dropped else []
     return _estimate("alpha-magnitude-dim", t_grid, values, params, kept, lead=lead)

@@ -128,10 +128,6 @@ class FilteredComplex:
     def __len__(self) -> int:
         return sum(len(vals) for vals in self.values)
 
-    def dump(self) -> str:
-        """Debug format: one 'v0,v1,...:value' line per simplex, in `simplices` order."""
-        return "\n".join(f"{','.join(map(str, s.vertices))}:{s.value:.17g}" for s in self.simplices)
-
 
 BLOCK_CELLS = 1 << 22  # array cells held at a time: candidate masks, H0 metric stacks
 

@@ -19,9 +19,9 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import SingularSimilarityError
-from .filtration import alpha_complex_2d, vietoris_rips
+from .filtration import vietoris_rips
 from .persistence import Barcode, Interval, persistence
-from .spaces import MetricView, PointCloud, scale_grid
+from .spaces import MetricView, scale_grid
 from .spaces import rescale  # unused here; perfbench/tracer.py wraps it under this module
 
 RESIDUAL_TOL = 1e-8
@@ -247,13 +247,3 @@ def rips_magnitude(metric: MetricView, t: float, degree_cap: int = 1) -> float:
         raise ValueError(f"degree_cap must lie in [0, {max(n - 2, 0)}]")
     complex = vietoris_rips(metric, min(degree_cap + 1, n - 1), math.inf)
     return persistent_magnitude_curve(persistence(complex, degree_cap), [t])[0]
-
-
-def alpha_magnitude(cloud: PointCloud, t: float, max_degree: int = 1) -> float:
-    """Persistent magnitude of the alpha-complex barcodes of the cloud scaled by t."""
-    if not t > 0:
-        raise ValueError("t must be positive")
-    if not (0 <= max_degree <= 2):
-        raise ValueError("max_degree must lie in [0, 2]")
-    complex = alpha_complex_2d(cloud)
-    return persistent_magnitude_curve(persistence(complex, max_degree), [t])[0]

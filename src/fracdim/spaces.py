@@ -122,11 +122,10 @@ class MetricView:
             raise ValueError("dist must be a square matrix")
         if d.size and not np.all(np.diag(d) == 0.0):
             raise ValueError("diagonal must be zero")
+        if not np.all(d >= 0):  # False at NaN too
+            raise ValueError("distances must be non-negative and not NaN")
         if not np.array_equal(d, d.T):
             raise ValueError("dist must be symmetric")
-        with np.errstate(invalid="ignore"):
-            if np.any(np.isnan(d)) or np.any(d < 0):
-                raise ValueError("distances must be non-negative and not NaN")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
         d = np.ascontiguousarray(d)
@@ -318,8 +317,6 @@ def shortest_path_metric(net: WeightedNetwork) -> MetricView:
 
 def euclidean_metric(cloud: PointCloud) -> MetricView:
     """Pairwise Euclidean distances of a point cloud."""
-    if cloud.n == 1:
-        return MetricView(np.zeros((1, 1)))
     return MetricView(squareform(pdist(cloud.points)))
 
 

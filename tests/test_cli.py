@@ -1,15 +1,25 @@
+import argparse
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdim import (
+    ParseError,
     PointCloud,
     SierpinskiTreeParams,
+    WeightedNetwork,
+    euclidean_metric,
+    magnitude_dimension,
     sierpinski_tree,
     sierpinski_triangle,
     subsample,
 )
+from fracdim import cli
 from fracdim.cli import ESTIMATORS, main, run_bench
 from fracdim.io import load_network, load_pointcloud, save_network, save_pointcloud
 
@@ -402,16 +412,24 @@ class TestEstimate:
         assert message in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["estimate", "magnitude-dim", "--input", "s.csv", "--threads", "2"],
-            ["estimate", "box", "--input", "s.csv", "--threads", "1"],
-            ["bench", "classic", "--threads", "2"],
+            (["estimate", "magnitude-dim", "--input", "s.csv", "--threads", "2"],
+             "unrecognized arguments: --threads"),
+            (["estimate", "box", "--input", "s.csv", "--threads", "1"],
+             "unrecognized arguments: --threads"),
+            (["bench", "classic", "--threads", "2"], "unrecognized arguments: --threads"),
+            (["estimate", "box", "--input", "s.csv", "--kind", "cloud"],
+             "unrecognized arguments: --kind"),
+            (["estimate", "alpha-magnitude-dim", "--input", "s.csv", "--max-degree", "1"],
+             "unrecognized arguments: --max-degree"),
+            (["bench", "classic", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
         ],
-        ids=["magnitude", "box", "bench"],
+        ids=["magnitude", "box", "bench", "kind", "max-degree", "bench-csv"],
     )
-    def test_threads_flag_rejected_exit2(self, tmp_path, capsys, monkeypatch, argv):
-        # every estimate runs one serial path; --threads is an unknown argument
+    def test_removed_flag_rejected_exit2(self, tmp_path, capsys, monkeypatch, argv, message):
+        # the estimate runs one serial path on the sniffed kind, alpha barcodes
+        # go to degree 1, and bench writes text or JSON: none of these flags exists
         monkeypatch.chdir(tmp_path)
         save_pointcloud(sierpinski_triangle(2), tmp_path / "s.csv")
         with pytest.raises(SystemExit) as exc:
@@ -419,12 +437,76 @@ class TestEstimate:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --threads" in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["estimate", "box", "--input", "x.csv", "--bogus", "1"])
         assert exc.value.code == 2
+
+
+def test_every_registered_estimator_flag_belongs_to_a_row():
+    # a flag that no runner reads cannot come back unnoticed
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        action.option_strings[0]
+        for action in sub.choices["estimate"]._actions
+        if isinstance(action, cli._Given)
+    }
+    in_rows = {flag for _, _, flags in ESTIMATORS.values() for flag in flags}
+    assert registered == in_rows
+
+
+@st.composite
+def clouds(draw):
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.floats(-1e6, 1e6, allow_subnormal=False), min_size=dim, max_size=dim)
+    return PointCloud(np.array(draw(st.lists(coords, min_size=1, max_size=6))))
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True))
+    return WeightedNetwork(n, [(u, v, draw(st.floats(1e-3, 1e3))) for u, v in chosen])
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=st.one_of(clouds(), networks()), data=st.data())
+def test_sniffed_kind_is_the_written_kind_and_the_other_loader_refuses(space, data):
+    cloud = isinstance(space, PointCloud)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        (save_pointcloud if cloud else save_network)(space, path)
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w", encoding="ascii") as fh:  # blank lines, some lines tab-separated
+            for line in lines:
+                fh.write("\n" * data.draw(st.integers(0, 2)))
+                fh.write((line.replace(" ", "\t") if data.draw(st.booleans()) else line) + "\n")
+            fh.write("\n" * data.draw(st.integers(0, 2)))
+        assert cli._sniff_kind(path) == ("cloud" if cloud else "network")
+        (load_pointcloud if cloud else load_network)(path)
+        with pytest.raises(ParseError):
+            (load_network if cloud else load_pointcloud)(path)
+
+
+def test_magnitude_window_rule_is_the_libraries(tmp_path, capsys):
+    # with no window, a t grid of 80 or more entries reads (40, 80) in both
+    sample = subsample(sierpinski_triangle(6), 300, 1)
+    path = tmp_path / "s.csv"
+    save_pointcloud(sample, path)
+    est = magnitude_dimension(euclidean_metric(sample), [float(t) for t in range(1, 101)])
+    code, out, err = run_cli(
+        ["estimate", "magnitude-dim", "--input", str(path), "--t-max", "100"], capsys
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["window"] == est.params["window"] == [40, 80]
+    assert record["value"] == est.value
 
 
 # extra flags that keep each estimator fast and defined on the tiny fixtures
@@ -470,6 +552,8 @@ class TestBench:
             "sierpinski-tree-6", "line-2001",
         }
         assert all(r["wall_time_s"] > 0 for r in records1)
+        assert len(records1) == 20
+        assert "alpha-magnitude-dim" not in {r["estimator"] for r in records1}
         sierp_box = [
             r for r in records1
             if r["space"] == "sierpinski-7" and r["estimator"] == "box"

@@ -310,10 +310,6 @@ class TestFilteredComplex:
         with pytest.raises(ValueError, match=r"duplicate simplex \(0, 1\)"):
             FilteredComplex(([[0], [1]], [[0, 1], [0, 1]]), ([0.0, 0.0], [1.0, 2.0]))
 
-    def test_dump_format(self):
-        complex = vietoris_rips(two_point_metric(0.5), 1)
-        assert complex.dump() == "0:0\n1:0\n0,1:0.5"
-
     def test_simplex_validation(self):
         # unsorted vertex rows, bad values, wrong shapes and no layers at all
         cases = [

