@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage or parse error, 3 undefined dimension,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -48,59 +47,62 @@ _EXIT_CODES = (
 )
 
 
-class _Given(argparse.Action):
-    """Store an estimator flag and append it to `given`, in command-line order."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = (*namespace.given, self.option_strings[0])
+def _flag_families():
+    """Parent parsers, one per flag family; each ESTIMATORS and _GENERATORS row names its own."""
+    names = ("input", "out", "eps", "window", "t", "ph", "node", "level", "tree", "n")
+    family = {name: argparse.ArgumentParser(add_help=False) for name in names}
+    family["input"].add_argument("--input", required=True, help="point CSV or edge-list file")
+    family["input"].add_argument("--seed", type=int, default=42)
+    family["out"].add_argument("--out", default=None, help="output path (default: stdout)")
+    eps = family["eps"]
+    eps.add_argument("--eps-min", type=float, default=None)
+    eps.add_argument("--eps-max", type=float, default=None)
+    eps.add_argument("--eps-count", type=int, default=None, help="grid entries (default 12)")
+    family["window"].add_argument("--fit-lo", type=int, default=None)
+    family["window"].add_argument("--fit-hi", type=int, default=None)
+    t = family["t"]
+    t.add_argument("--t-min", type=float, default=1.0)
+    t.add_argument("--t-max", type=float, default=300.0)
+    t.add_argument("--t-step", type=float, default=1.0)
+    ph = family["ph"]
+    ph.add_argument("--degree", type=int, default=0)
+    ph.add_argument("--alpha", type=float, default=1.0)
+    ph.add_argument("--n-min", type=int, default=5)
+    ph.add_argument("--n-max", type=int, default=200)
+    ph.add_argument("--n-step", type=int, default=5)
+    ph.add_argument("--repeats", type=int, default=5)
+    ph.add_argument("--fit-tail", type=int, default=36)
+    family["node"].add_argument("--node", default="all", help="node id or 'all'")
+    family["level"].add_argument("--level", type=int, required=True, help="iteration level")
+    tree = family["tree"]
+    tree.add_argument("--levels", type=int, required=True, help="recursion levels")
+    tree.add_argument("--s", type=int, default=3, help="copies per level")
+    tree.add_argument("--f", type=float, default=0.5, help="weight scaling factor")
+    family["n"].add_argument("--n", type=int, required=True, help="node count")
+    return family
 
 
 def _build_parser():
+    family = _flag_families()
     parser = argparse.ArgumentParser(
         prog="fracdim",
         description="Fractal dimension estimation for point clouds and weighted networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # one subparser per table row, reading only its row's families; with abbreviations
+    # off, a foreign flag such as --level cannot pass for a row's own --levels
     gen = sub.add_parser("generate", help="generate fixture point clouds and networks")
-    gen.add_argument("kind", choices=list(_GENERATORS))
-    gen.add_argument("--level", type=int, default=None, help="iteration level (triangle, cantor)")
-    gen.add_argument("--levels", type=int, default=None, help="recursion levels (sierpinski-tree)")
-    gen.add_argument("--s", type=int, default=3, help="copies per level (sierpinski-tree)")
-    gen.add_argument("--f", type=float, default=0.5, help="weight scaling factor (sierpinski-tree)")
-    gen.add_argument("--n", type=int, default=None, help="node count (line)")
-    gen.add_argument("--out", default=None, help="output path (default: stdout)")
+    gen_sub = gen.add_subparsers(dest="kind", required=True)
+    for kind, (families, _) in _GENERATORS.items():
+        parents = [family[f] for f in ("out", *families)]
+        gen_sub.add_parser(kind, allow_abbrev=False, parents=parents)
 
     est = sub.add_parser("estimate", help="run one estimator on an input file")
-    est.add_argument("estimator", choices=list(ESTIMATORS))
-    est.add_argument("--input", required=True, help="point CSV or edge-list file")
-    est.add_argument("--seed", type=int, default=42)
-    est.add_argument("--out", default=None)
-    est.add_argument("--format", choices=["json", "csv"], default="json")
-    # estimator flags: each ESTIMATORS row names the ones its runner reads
-    est.set_defaults(given=())
-    flag = functools.partial(est.add_argument, action=_Given)
-    # eps-grid estimators
-    flag("--eps-min", type=float, default=None)
-    flag("--eps-max", type=float, default=None)
-    flag("--eps-count", type=int, default=None, help="grid entries (default 12)")
-    flag("--fit-lo", type=int, default=None)
-    flag("--fit-hi", type=int, default=None)
-    # ph-dim family
-    flag("--degree", type=int, default=0)
-    flag("--alpha", type=float, default=1.0)
-    flag("--n-min", type=int, default=5)
-    flag("--n-max", type=int, default=200)
-    flag("--n-step", type=int, default=5)
-    flag("--repeats", type=int, default=5)
-    flag("--fit-tail", type=int, default=36)
-    # magnitude family
-    flag("--t-min", type=float, default=1.0)
-    flag("--t-max", type=float, default=300.0)
-    flag("--t-step", type=float, default=1.0)
-    # internal scaling
-    flag("--node", default="all", help="node id or 'all'")
+    est_sub = est.add_subparsers(dest="estimator", required=True)
+    for name, (_, _, families) in ESTIMATORS.items():
+        parents = [family[f] for f in ("input", "out", *families)]
+        est_sub.add_parser(name, allow_abbrev=False, parents=parents)
 
     bench = sub.add_parser("bench", help="run a benchmark suite")
     bench.add_argument("suite", choices=["classic"])
@@ -123,21 +125,18 @@ def _write_output(text, out_path):
 # generate
 
 
-# kind -> (required flag, generator)
+# kind -> (flag families, generator); --out is common to every kind
 _GENERATORS = {
-    "sierpinski-triangle": ("level", lambda a: spaces.sierpinski_triangle(a.level)),
-    "cantor": ("level", lambda a: spaces.cantor_set(a.level)),
-    "sierpinski-tree": ("levels", lambda a: spaces.sierpinski_tree(
+    "sierpinski-triangle": (("level",), lambda a: spaces.sierpinski_triangle(a.level)),
+    "cantor": (("level",), lambda a: spaces.cantor_set(a.level)),
+    "sierpinski-tree": (("tree",), lambda a: spaces.sierpinski_tree(
         spaces.SierpinskiTreeParams(s=a.s, f=a.f, levels=a.levels))),
-    "line": ("n", lambda a: spaces.line_network(a.n)),
+    "line": (("n",), lambda a: spaces.line_network(a.n)),
 }
 
 
 def _cmd_generate(args):
-    flag, generate = _GENERATORS[args.kind]
-    if getattr(args, flag) is None:
-        raise UsageError(f"{args.kind} requires --{flag}")
-    space = generate(args)
+    space = _GENERATORS[args.kind][1](args)
     if isinstance(space, spaces.PointCloud):
         _write_output(io.dumps_pointcloud(space), args.out)
         print(f"{space.n} points, dim {space.dim}", file=sys.stderr)
@@ -211,7 +210,11 @@ def _t_grid(args):
         raise UsageError("--t-max must not lie below --t-min")
     count = round((args.t_max - args.t_min) / args.t_step, 0) + 1  # a float: inf stays inf
     _check_entries("--t-min, --t-max and --t-step", count)
-    return [args.t_min + k * args.t_step for k in range(int(count))]
+    grid = [args.t_min + k * args.t_step for k in range(int(count))]
+    # round() can step past --t-max by up to half a step; a last entry past it by
+    # rounding error only stays
+    past = grid[-1] > args.t_max and not math.isclose(grid[-1], args.t_max)
+    return grid[:-1] if past else grid
 
 
 def _ph_config(args):
@@ -275,30 +278,20 @@ def _run_internal_scaling(args, net):
     )
 
 
-_EPS_FLAGS = ("--eps-min", "--eps-max", "--eps-count", "--fit-lo", "--fit-hi")
-_T_FLAGS = ("--t-min", "--t-max", "--t-step", "--fit-lo", "--fit-hi")
-_PH_FLAGS = ("--degree", "--alpha", "--n-min", "--n-max", "--n-step", "--repeats", "--fit-tail")
-
-# name -> (accepted input kinds, runner(args, space) -> DimensionEstimate, flags the runner
-# reads); --input, --seed, --out and --format are common to every estimator
+# name -> (accepted input kinds, runner(args, space) -> DimensionEstimate, flag families
+# the runner reads); --input, --seed and --out are common to every estimator
 ESTIMATORS = {
-    "box": (("cloud", "network"), _run_box, _EPS_FLAGS),
-    "correlation": (("cloud",), _run_correlation, _EPS_FLAGS),
-    "ph-dim": (("cloud",), _run_ph, _PH_FLAGS),
-    "magnitude-dim": (("cloud", "network"), _run_magnitude, _T_FLAGS),
-    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude, _T_FLAGS),
-    "internal-scaling": (("network",), _run_internal_scaling, (*_EPS_FLAGS, "--node")),
+    "box": (("cloud", "network"), _run_box, ("eps", "window")),
+    "correlation": (("cloud",), _run_correlation, ("eps", "window")),
+    "ph-dim": (("cloud",), _run_ph, ("ph",)),
+    "magnitude-dim": (("cloud", "network"), _run_magnitude, ("t", "window")),
+    "alpha-magnitude-dim": (("cloud",), _run_alpha_magnitude, ("t", "window")),
+    "internal-scaling": (("network",), _run_internal_scaling, ("eps", "window", "node")),
 }
 
 
 def _cmd_estimate(args):
-    kinds, runner, flags = ESTIMATORS[args.estimator]
-    unread = [f for f in args.given if f not in flags]
-    if unread:
-        raise UsageError(
-            f"estimator {args.estimator!r} does not read {unread[0]}; "
-            f"its flags: {', '.join(flags)}"
-        )
+    kinds, runner, _ = ESTIMATORS[args.estimator]
     kind = _sniff_kind(args.input)
     if kind not in kinds:
         raise UsageError(
@@ -313,16 +306,7 @@ def _cmd_estimate(args):
     record["params"]["input"] = args.input
     record["params"].setdefault("seed", args.seed)
     record["seed"] = record["params"]["seed"]
-    if args.format == "json":
-        _write_output(json.dumps(record, indent=2) + "\n", args.out)
-    else:
-        lo, hi = record["window"]
-        rows = [
-            "estimator,value,slope,intercept,r2,window_lo,window_hi,seed",
-            f"{record['estimator']},{record['value']:.17g},{record['slope']:.17g},"
-            f"{record['intercept']:.17g},{record['r2']:.17g},{lo},{hi},{record['seed']}",
-        ]
-        _write_output("\n".join(rows) + "\n", args.out)
+    _write_output(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -372,8 +356,7 @@ def run_bench(suite="classic", seed=42):
     if suite != "classic":
         raise UsageError(f"unknown suite {suite!r}")
     cells = _classic_cells(seed)
-    defaults = vars(_build_parser().parse_args(["estimate", "box", "--input", ""]))
-    defaults.update(seed=seed)
+    parser = _build_parser()
 
     records = []
     for space_name, tag, ref, estimator, space, overrides in cells:
@@ -390,7 +373,8 @@ def run_bench(suite="classic", seed=42):
             "error": None,
         }
         try:
-            args = argparse.Namespace(**{**defaults, **overrides})
+            defaults = vars(parser.parse_args(["estimate", estimator, "--input", ""]))
+            args = argparse.Namespace(**{**defaults, "seed": seed, **overrides})
             est = ESTIMATORS[estimator][1](args, space)
             record["value"] = est.value
             record["warnings"] = list(est.warnings)

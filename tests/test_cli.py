@@ -1,11 +1,14 @@
 import argparse
 import json
 import os
+import re
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracdim import (
@@ -90,9 +93,10 @@ class TestGenerate:
         assert "exceeds cap 1000000 nodes" in err
 
     def test_missing_param_usage_error(self, capsys):
-        code, _, err = run_cli(["generate", "cantor"], capsys)
-        assert code == 2
-        assert "requires --level" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "cantor"])
+        assert exc.value.code == 2
+        assert "required: --level" in capsys.readouterr().err
 
     def test_roundtrip_matches_generator(self, tmp_path, capsys):
         out = tmp_path / "tree.edges"
@@ -344,17 +348,6 @@ class TestEstimate:
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "more than 100000 entries" in err
 
-    def test_csv_format(self, tmp_path, capsys):
-        path = tmp_path / "s.csv"
-        save_pointcloud(sierpinski_triangle(5), path)
-        code, out, _ = run_cli(
-            ["estimate", "box", "--input", str(path), "--format", "csv"], capsys
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("estimator,value,slope")
-        assert lines[1].startswith("box,")
-
     @pytest.mark.parametrize(
         "estimator, flags, message",
         [
@@ -388,16 +381,12 @@ class TestEstimate:
             ("box", ["--eps-count", "30"], "--eps-count requires --eps-min and --eps-max"),
             ("internal-scaling", ["--input", "n.edges", "--eps-min", "1", "--eps-count", "30"],
              "--eps-min and --eps-max must be given together"),
-            ("magnitude-dim", ["--eps-min", "0.01", "--n-max", "7"],
-             "estimator 'magnitude-dim' does not read --eps-min"),
-            ("box", ["--t-max", "5", "--degree", "3"], "estimator 'box' does not read --t-max"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
              "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
              "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
              "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha",
-             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound",
-             "unread-flag-magnitude", "unread-flag-box"],
+             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message
@@ -424,12 +413,18 @@ class TestEstimate:
             (["estimate", "alpha-magnitude-dim", "--input", "s.csv", "--max-degree", "1"],
              "unrecognized arguments: --max-degree"),
             (["bench", "classic", "--format", "csv"], "argument --format: invalid choice: 'csv'"),
+            (["estimate", "box", "--input", "s.csv", "--format", "csv"],
+             "unrecognized arguments: --format csv"),
+            (["estimate", "--input", "s.csv", "box"],
+             "argument estimator: invalid choice: 's.csv'"),
         ],
-        ids=["magnitude", "box", "bench", "kind", "max-degree", "bench-csv"],
+        ids=["magnitude", "box", "bench", "kind", "max-degree", "bench-csv", "estimate-csv",
+             "input-before-estimator"],
     )
     def test_removed_flag_rejected_exit2(self, tmp_path, capsys, monkeypatch, argv, message):
         # the estimate runs one serial path on the sniffed kind, alpha barcodes
-        # go to degree 1, and bench writes text or JSON: none of these flags exists
+        # go to degree 1, bench writes text or JSON and estimate JSON only: none
+        # of these flags exists; estimate options follow the estimator name
         monkeypatch.chdir(tmp_path)
         save_pointcloud(sierpinski_triangle(2), tmp_path / "s.csv")
         with pytest.raises(SystemExit) as exc:
@@ -446,17 +441,107 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
-def test_every_registered_estimator_flag_belongs_to_a_row():
-    # a flag that no runner reads cannot come back unnoticed
+# each estimator's flags beside --input, --seed and --out, by family
+FAMILY_FLAGS = {
+    "eps": ["--eps-min", "--eps-max", "--eps-count"],
+    "window": ["--fit-lo", "--fit-hi"],
+    "t": ["--t-min", "--t-max", "--t-step"],
+    "ph": ["--degree", "--alpha", "--n-min", "--n-max", "--n-step", "--repeats", "--fit-tail"],
+    "node": ["--node"],
+}
+OWN_FAMILIES = {
+    "box": ("eps", "window"),
+    "correlation": ("eps", "window"),
+    "ph-dim": ("ph",),
+    "magnitude-dim": ("t", "window"),
+    "alpha-magnitude-dim": ("t", "window"),
+    "internal-scaling": ("eps", "window", "node"),
+}
+# each generator kind's required flags and all of its flags beside --out
+GENERATOR_FLAGS = {
+    "sierpinski-triangle": (["--level", "2"], {"--level"}),
+    "cantor": (["--level", "2"], {"--level"}),
+    "sierpinski-tree": (["--levels", "2"], {"--levels", "--s", "--f"}),
+    "line": (["--n", "5"], {"--n"}),
+}
+FOREIGN_FLAG_CASES = [
+    pytest.param(["estimate", name, "--input", "s.csv", flag, "1"], flag, id=f"{name}{flag}")
+    for name, own in OWN_FAMILIES.items()
+    for family, flags in FAMILY_FLAGS.items() if family not in own
+    for flag in flags
+] + [
+    pytest.param(["generate", kind, *required, flag, "1"], flag, id=f"{kind}{flag}")
+    for kind, (required, own) in GENERATOR_FLAGS.items()
+    for flag in sorted(set().union(*(flags for _, flags in GENERATOR_FLAGS.values())) - own)
+] + [
+    pytest.param(["estimate", "magnitude-dim", "--input", "s.csv", "--eps-min", "0.01",
+                  "--n-max", "7"], "--eps-min", id="unread-flag-magnitude"),
+    pytest.param(["estimate", "box", "--input", "s.csv", "--t-max", "5", "--degree", "3"],
+                 "--t-max", id="unread-flag-box"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", FOREIGN_FLAG_CASES)
+def test_flag_outside_the_rows_families_exit2(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    save_pointcloud(sierpinski_triangle(2), tmp_path / "s.csv")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} " in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name", list(OWN_FAMILIES))
+def test_estimator_help_lists_exactly_its_families_flags(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", name, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    own = {flag for family in OWN_FAMILIES[name] for flag in FAMILY_FLAGS[family]}
+    assert listed == {"--help", "--input", "--seed", "--out", *own}
+
+
+def test_readme_cli_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("fracdim ")
+    ]
+    assert len(commands) >= 8
     parser = cli._build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    registered = {
-        action.option_strings[0]
-        for action in sub.choices["estimate"]._actions
-        if isinstance(action, cli._Given)
-    }
-    in_rows = {flag for _, _, flags in ESTIMATORS.values() for flag in flags}
-    assert registered == in_rows
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
+
+
+def _rounded_t_grid(t_min, t_max, t_step):
+    # the grid as built before entries past --t-max were dropped
+    return [t_min + k * t_step for k in range(round((t_max - t_min) / t_step) + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@example(t_min=1.0, span=9.0, t_step=3.5)
+@example(t_min=0.1, span=0.9, t_step=0.6)
+@example(t_min=1.0, span=299.0, t_step=1.0)
+@example(t_min=1.0, span=99.0, t_step=1.0)
+@example(t_min=0.1, span=0.2, t_step=0.1)
+@given(
+    t_min=st.floats(0.01, 100.0),
+    span=st.floats(0.0, 500.0),
+    t_step=st.floats(0.01, 50.0),
+)
+def test_t_grid_stays_at_or_below_t_max(t_min, span, t_step):
+    t_max = t_min + span
+    grid = cli._t_grid(argparse.Namespace(t_min=t_min, t_max=t_max, t_step=t_step))
+    assert grid[0] == t_min
+    assert all(t <= t_max * (1 + 1e-9) for t in grid)
+    assert t_min + len(grid) * t_step > t_max  # no entry at or below --t-max is left out
+    rounded = _rounded_t_grid(t_min, t_max, t_step)
+    if rounded[-1] <= t_max:
+        assert grid == rounded
 
 
 @st.composite
