@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or parse error, 3 undefined dimension,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -82,6 +83,7 @@ def _flag_families():
     return family
 
 
+@functools.cache  # reads only module constants, so one parser serves every call
 def _build_parser():
     family = _flag_families()
     parser = argparse.ArgumentParser(
@@ -187,6 +189,8 @@ def _eps_grid(args, decreasing):
         return None
     if args.eps_min is None or args.eps_max is None:
         raise UsageError("--eps-min and --eps-max must be given together")
+    if all(map(math.isfinite, (args.eps_min, args.eps_max))) and args.eps_min >= args.eps_max:
+        raise UsageError("--eps-min must lie below --eps-max")
     grid = np.geomspace(args.eps_min, args.eps_max, count)
     grid = grid[::-1] if decreasing else grid
     return [float(g) for g in grid]

@@ -13,7 +13,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial.distance import pdist
 
 from .errors import (
     DegenerateInputError,
@@ -32,18 +33,16 @@ from .spaces import (
     MetricView,
     PointCloud,
     WeightedNetwork,
-    csr_graph,
     derive_seed,
     euclidean_metric,
-    is_connected,
     network_diameter,
     scale_grid,
     shortest_path_metric,  # unused here; perfbench/tracer.py wraps it under this module
-    shortest_path_rows,
     subsample,
 )
 
 R2_WARN_THRESHOLD = 0.9
+AGREEMENT_TOL = 0.25  # widest per-node slope spread that still reads one internal dimension
 ROW_BLOCK = 256  # Dijkstra rows held at once: all-node internal scaling, cover ball sizes
 
 
@@ -180,20 +179,20 @@ def _ball_counts(rows: np.ndarray, radii) -> np.ndarray:
     return np.array([np.searchsorted(row, radii, side="right") for row in rows])
 
 
-def first_ball_sizes(graph, radii) -> np.ndarray:
-    """(n, len(radii)) unrestricted ball sizes of every node at every radius.
+def first_ball_sizes(net: WeightedNetwork, radii, sources=None) -> np.ndarray:
+    """(len(sources), len(radii)) unrestricted ball sizes around each source (default: every node).
 
     One pass of ROW_BLOCK-row Dijkstra searches bounded at the largest
     radius. With positive weights a distance within the bound does not
     depend on the bound, so each size equals that of a search bounded at
-    its own radius.
+    its own radius, or of an unbounded one.
     """
-    n = graph.shape[0]
-    sizes = np.empty((n, len(radii)), dtype=np.int64)
-    for start in range(0, n, ROW_BLOCK):
-        block = np.arange(start, min(start + ROW_BLOCK, n))
-        rows = dijkstra(graph, directed=True, indices=block, limit=max(radii))
-        sizes[block] = _ball_counts(rows, radii)
+    sources = np.arange(net.node_count) if sources is None else np.asarray(sources).reshape(-1)
+    sizes = np.empty((len(sources), len(radii)), dtype=np.int64)
+    for start in range(0, len(sources), ROW_BLOCK):
+        block = sources[start : start + ROW_BLOCK]
+        rows = dijkstra(net.graph, directed=True, indices=block, limit=max(radii))
+        sizes[start : start + len(block)] = _ball_counts(rows, radii)
     return sizes
 
 
@@ -209,16 +208,16 @@ def greedy_cover(net: WeightedNetwork, eps: float, sizes=None) -> list:
     up to ROW_BLOCK per search within a round; a refresh only makes an
     upper bound exact, so the claimed ball is unchanged. `sizes` holds
     every node's first ball size at radius eps/2 (`first_ball_sizes`),
-    computed here when None. Balls come from scipy's Dijkstra on one
-    sparse graph; memory is O(ROW_BLOCK * n + m).
+    computed here when None. Balls come from scipy's Dijkstra on a private
+    copy of `net.graph`; memory is O(ROW_BLOCK * n + m).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
     n = net.node_count
-    graph = csr_graph(net)
+    graph = net.graph.copy()
     radius = eps / 2.0
     if sizes is None:
-        sizes = first_ball_sizes(graph, [radius])[:, 0]
+        sizes = first_ball_sizes(net, [radius])[:, 0]
 
     def within(sources):  # ball membership, one row per source
         return dijkstra(graph, directed=True, indices=sources, limit=radius) <= radius
@@ -285,7 +284,7 @@ def _connected_diameter(net: WeightedNetwork) -> float:
         raise ValueError("connected network required")
     diam = network_diameter(net)
     if math.isinf(diam):
-        if not is_connected(net):
+        if connected_components(net.graph, directed=False)[0] > 1:
             raise ValueError("connected network required")
         raise ValueError("shortest-path distances overflow float64")
     return diam
@@ -311,7 +310,7 @@ def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> Di
     if eps_grid is None:
         eps_grid = _geometric_grid(diam, _default_eps_floor(net, diam))
     eps_grid = scale_grid(eps_grid, "eps", increasing=False)
-    sizes = first_ball_sizes(csr_graph(net), [e / 2.0 for e in eps_grid])
+    sizes = first_ball_sizes(net, [e / 2.0 for e in eps_grid])
     counts = [len(greedy_cover(net, e, sizes[:, k])) for k, e in enumerate(eps_grid)]
     inv_eps = [1.0 / e for e in eps_grid]
     params = {"eps_grid": eps_grid, "window": window, "n_nodes": net.node_count}
@@ -324,8 +323,6 @@ def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> Di
 
 def pair_correlation(cloud: PointCloud, eps_grid) -> list:
     """C(eps) = fraction of unordered point pairs at distance <= eps."""
-    from scipy.spatial.distance import pdist
-
     d = np.sort(pdist(cloud.points))
     total = d.size
     return [float(np.searchsorted(d, e, side="right")) / total for e in eps_grid]
@@ -335,8 +332,6 @@ def correlation_dimension(cloud: PointCloud, eps_grid=None, window=None) -> Dime
     """Pair-counting estimator: slope of log C(eps) against log eps."""
     if cloud.n < 2:
         raise ValueError("correlation dimension requires at least 2 points")
-    from scipy.spatial.distance import pdist
-
     d = pdist(cloud.points)
     d_max = float(d.max())
     if d_max == 0.0:
@@ -382,6 +377,9 @@ class PHDimensionConfig:
             raise ValueError("n_schedule must be strictly increasing")
         if self.n_schedule[0] < 1:
             raise ValueError("subsample sizes must be positive")
+        if self.degree >= 1 and self.n_schedule[0] < self.degree + 2:
+            raise ValueError(f"degree {self.degree} needs subsamples of at least "
+                             f"{self.degree + 2} points; the smallest is {self.n_schedule[0]}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not (2 <= self.fit_tail <= len(self.n_schedule)):
@@ -524,15 +522,15 @@ def alpha_magnitude_dimension(cloud: PointCloud, t_grid=None, window=None) -> Di
 
 
 def internal_scaling_dimension(
-    net: WeightedNetwork, node=None, eps_grid=None, window=None, agreement_tol: float = 0.25
+    net: WeightedNetwork, node=None, eps_grid=None, window=None
 ) -> DimensionEstimate:
     """Growth exponent of shortest-path ball cardinality around a node.
 
     `node=None` averages over all nodes: the fitted slope of the mean
     log-count equals the mean of the per-node slopes, and a warning is
-    attached when per-node estimates spread beyond agreement_tol. Memory
-    is O(n + m): one Dijkstra row for `node=k`, blocks of ROW_BLOCK rows
-    for all nodes.
+    attached when per-node estimates spread beyond AGREEMENT_TOL. Both
+    modes read `first_ball_sizes`, one row for `node=k`; memory is
+    O(ROW_BLOCK * n + m).
     """
     n = net.node_count
     if node is not None and not (0 <= int(node) < n):
@@ -541,35 +539,35 @@ def internal_scaling_dimension(
     if eps_grid is None:
         lo = _default_eps_floor(net, diam)
         eps_grid = _geometric_grid(max(diam / 2.0, lo * 2.0), lo, decreasing=False)
-        if window is None and len(eps_grid) >= 6:
+        if window is None:
             # the definition is an eps -> infinity limit: read the top half
             window = (len(eps_grid) // 2, len(eps_grid))
     eps_grid = scale_grid(eps_grid, "eps")
+    counts = first_ball_sizes(net, eps_grid, None if node is None else [int(node)])
 
     if node is not None:
         params = {"node": int(node), "eps_grid": eps_grid, "window": window, "n_nodes": n}
-        counts = _ball_counts(shortest_path_rows(net, [int(node)]), eps_grid)[0]
-        return _estimate("internal-scaling", eps_grid, counts, params)
+        return _estimate("internal-scaling", eps_grid, counts[0], params)
 
-    log_counts = np.log(first_ball_sizes(csr_graph(net), eps_grid))
+    log_counts = np.log(counts)
     mean_log = np.exp(log_counts.mean(axis=0))  # geometric mean counts
     lo, hi = _window_bounds(window, len(eps_grid))  # the fit's window
     lx = np.log(eps_grid)[lo:hi]
     lx_c = lx - lx.mean()
     per_node = (log_counts[:, lo:hi] @ lx_c) / float(lx_c @ lx_c)
     spread = float(per_node.max() - per_node.min())
-    has_dimension = spread <= agreement_tol
+    has_dimension = spread <= AGREEMENT_TOL
     params = {
         "node": "all",
         "eps_grid": eps_grid,
         "window": window,
-        "agreement_tol": agreement_tol,
+        "agreement_tol": AGREEMENT_TOL,
         "per_node_spread": spread,
         "has_internal_scaling_dimension": has_dimension,
         "n_nodes": n,
     }
     trail = [] if has_dimension else [
-        f"per-node estimates spread {spread:.3f} exceeds tolerance {agreement_tol}; "
+        f"per-node estimates spread {spread:.3f} exceeds tolerance {AGREEMENT_TOL}; "
         "network has no single internal scaling dimension"
     ]
     return _estimate("internal-scaling", eps_grid, mean_log, params, trail=trail)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import ResourceLimitError
@@ -102,6 +103,22 @@ class WeightedNetwork:
         if not self.edges:
             raise ValueError("network has no edges")
         return min(w for _, _, w in self.edges)
+
+    @cached_property
+    def graph(self) -> csr_matrix:
+        """Read-only CSR adjacency of the edge weights, built on first use. It stores both
+        directions of every edge, so a directed search reads the undirected distances."""
+        m = self.edge_count
+        u = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=m)
+        v = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=m)
+        w = np.fromiter((e[2] for e in self.edges), dtype=np.float64, count=m)
+        graph = csr_matrix(
+            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(self.node_count, self.node_count),
+        )
+        for array in (graph.data, graph.indices, graph.indptr):
+            array.setflags(write=False)
+        return graph
 
 
 @dataclass(frozen=True)
@@ -233,28 +250,13 @@ def line_network(n: int) -> WeightedNetwork:
     return WeightedNetwork(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
 
 
-def csr_graph(net: WeightedNetwork) -> csr_matrix:
-    """Symmetric sparse adjacency matrix holding the edge weights, built anew per call."""
-    n = net.node_count
-    u = np.fromiter((e[0] for e in net.edges), dtype=np.int64, count=net.edge_count)
-    v = np.fromiter((e[1] for e in net.edges), dtype=np.int64, count=net.edge_count)
-    w = np.fromiter((e[2] for e in net.edges), dtype=np.float64, count=net.edge_count)
-    return csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-        shape=(n, n),
-    )
-
-
-def shortest_path_rows(net: WeightedNetwork, sources, graph=None) -> np.ndarray:
+def shortest_path_rows(net: WeightedNetwork, sources) -> np.ndarray:
     """(len(sources), n) single-source Dijkstra distances; inf between components.
 
     Row i holds d(sources[i], j) as summed along paths from the source.
-    `graph` is `csr_graph(net)` when the caller already holds it. The graph
-    stores both directions of every edge, so a directed search reads the
-    undirected distances without scipy's transposed copy.
     """
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
-    return dijkstra(csr_graph(net) if graph is None else graph, directed=True, indices=sources)
+    return dijkstra(net.graph, directed=True, indices=sources)
 
 
 def network_diameter(net: WeightedNetwork) -> float:
@@ -276,9 +278,8 @@ def network_diameter(net: WeightedNetwork) -> float:
     live = np.ones(n, dtype=bool)
     best = 0.0
     source = 0
-    graph = csr_graph(net)
     for sweep in range(n):
-        row = shortest_path_rows(net, [source], graph=graph)[0]
+        row = shortest_path_rows(net, [source])[0]
         ecc = float(row.max())
         if not math.isfinite(ecc):
             return math.inf
@@ -296,11 +297,6 @@ def network_diameter(net: WeightedNetwork) -> float:
         else:
             source = int(candidates[np.argmin(lower[candidates])])
     return best
-
-
-def is_connected(net: WeightedNetwork) -> bool:
-    """True when every node reaches every other (vacuously for n <= 1)."""
-    return net.node_count <= 1 or connected_components(csr_graph(net), directed=False)[0] == 1
 
 
 def shortest_path_metric(net: WeightedNetwork) -> MetricView:

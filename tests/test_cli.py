@@ -381,12 +381,19 @@ class TestEstimate:
             ("box", ["--eps-count", "30"], "--eps-count requires --eps-min and --eps-max"),
             ("internal-scaling", ["--input", "n.edges", "--eps-min", "1", "--eps-count", "30"],
              "--eps-min and --eps-max must be given together"),
+            ("box", ["--eps-min", "0.5", "--eps-max", "0.01"],
+             "--eps-min must lie below --eps-max"),
+            ("correlation", ["--eps-min", "0.5", "--eps-max", "0.01"],
+             "--eps-min must lie below --eps-max"),
+            ("internal-scaling", ["--input", "n.edges", "--eps-min", "0.5", "--eps-max", "0.01"],
+             "--eps-min must lie below --eps-max"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
              "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
              "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
              "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha",
-             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound"],
+             "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound",
+             "eps-reversed-box", "eps-reversed-correlation", "eps-reversed-internal-scaling"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message
@@ -399,6 +406,15 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert message in err
+
+    def test_ph_degree_past_smallest_subsample_exit2(self, tmp_path, capsys):
+        path = tmp_path / "s3.csv"
+        save_pointcloud(sierpinski_triangle(3), path)
+        argv = ["estimate", "ph-dim", "--input", str(path), "--degree", "7", "--n-max", "20"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: degree 7 needs subsamples of at least 9 points; the smallest is 5\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -492,6 +508,32 @@ def test_flag_outside_the_rows_families_exit2(tmp_path, capsys, monkeypatch, arg
     assert captured.out == ""
     assert f"unrecognized arguments: {flag} " in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_parser_built_once_and_each_row_keeps_its_flags(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.chdir(tmp_path)
+    runs = [
+        (["generate", "line", "--n", "30", "--out", "l.edges"], 0),
+        (["generate", "sierpinski-triangle", "--level", "4", "--out", "s.csv"], 0),
+        (["estimate", "internal-scaling", "--input", "l.edges", "--node", "3"], 0),
+        (["estimate", "box", "--input", "s.csv", "--eps-min", "0.05", "--eps-max", "0.5"], 0),
+        (["estimate", "magnitude-dim", "--input", "s.csv", "--t-max", "12"], 0),
+        (["estimate", "box", "--input", "l.edges", "--node", "3"], "--node"),
+        (["generate", "line", "--n", "5", "--levels", "2", "--out", "x.edges"], "--levels"),
+        (["estimate", "internal-scaling", "--input", "l.edges", "--t-max", "5"], "--t-max"),
+    ]
+    for argv, expected in runs:
+        if expected == 0:
+            assert main(argv) == 0
+            continue
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {expected} " in capsys.readouterr().err
+    record = json.loads(run_cli(["estimate", "internal-scaling", "--input", "l.edges"],
+                                capsys)[1])
+    assert record["params"]["node"] == "all"
 
 
 @pytest.mark.parametrize("name", list(OWN_FAMILIES))

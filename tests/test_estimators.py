@@ -267,6 +267,12 @@ class TestPHDimension:
             PHDimensionConfig(n_schedule=(10, 5))
         with pytest.raises(ValueError):
             PHDimensionConfig(fit_tail=1)
+        with pytest.raises(
+            ValueError, match="^degree 2 needs subsamples of at least 4 points; the smallest is 3$"
+        ):
+            PHDimensionConfig(degree=2, n_schedule=(3, 5), fit_tail=2)
+        assert PHDimensionConfig(degree=2, n_schedule=(4, 5), fit_tail=2).n_schedule == (4, 5)
+        assert PHDimensionConfig(degree=0, n_schedule=(1, 5), fit_tail=2).n_schedule == (1, 5)
 
 
 class TestBoxCountingNetwork:
@@ -334,9 +340,9 @@ class TestBoxCountingNetwork:
     def test_first_ball_sizes_do_not_depend_on_the_search_bound(self, seed):
         net = random_connected_network(seed)
         radii = [eps / 2.0 for eps in box_counting_network(net).params["eps_grid"]]
-        together = estimators.first_ball_sizes(spaces.csr_graph(net), radii)
+        together = estimators.first_ball_sizes(net, radii)
         for k, radius in enumerate(radii):
-            alone = estimators.first_ball_sizes(spaces.csr_graph(net), [radius])
+            alone = estimators.first_ball_sizes(net, [radius])
             assert np.array_equal(together[:, k], alone[:, 0])
 
     def test_line_2001_search_count(self, monkeypatch):
@@ -391,6 +397,41 @@ class TestBoxCountingNetwork:
             box_counting_network(g3, grid)
 
 
+class TestNetworkGraph:
+    """One read-only adjacency per network feeds every search and ball count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radii=st.lists(st.floats(0.01, 40.0), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_ball_counts_and_graph_stay_fixed(self, seed, radii, data):
+        built = []
+        with pytest.MonkeyPatch.context() as patch:
+            make = spaces.csr_matrix
+            patch.setattr(spaces, "csr_matrix", lambda *a, **k: built.append(1) or make(*a, **k))
+            net = random_connected_network(seed)
+            graph = net.graph
+            before = graph.copy()
+            n = net.node_count
+            sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                         unique=True))
+            some = estimators.first_ball_sizes(net, radii, sources)
+            assert np.array_equal(some, estimators.first_ball_sizes(net, radii)[sources])
+            unbounded = spaces.shortest_path_rows(net, sources)
+            assert np.array_equal(some, estimators._ball_counts(unbounded, radii))
+            box_counting_network(net)
+            greedy_cover(net, 2.0 * radii[0])
+            internal_scaling_dimension(net, node=sources[0])
+        assert len(built) == 1
+        assert net.graph is graph
+        for array in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(graph, array), getattr(before, array))
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(graph, array)[0] = 0
+
+
 class TestDefaultNetworkGrid:
     NO_RANGE = "^network diameter equals its smallest edge weight; no scale range to fit$"
     EDGE = WeightedNetwork(2, ((0, 1, 1.0),))
@@ -412,22 +453,6 @@ class TestDefaultNetworkGrid:
 
 
 class TestInternalScaling:
-    def test_all_nodes_build_the_graph_once_per_stage(self, monkeypatch):
-        # one graph for the diameter sweeps, one for the blocked ball-count pass
-        built = []
-        make = spaces.csr_graph
-
-        def counted(net):
-            built.append(net)
-            return make(net)
-
-        monkeypatch.setattr(spaces, "csr_graph", counted)
-        monkeypatch.setattr(estimators, "csr_graph", counted)
-        g5 = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 5))
-        assert g5.node_count > estimators.ROW_BLOCK
-        internal_scaling_dimension(g5)
-        assert len(built) == 2
-
     def test_line_interior_node(self):
         est = internal_scaling_dimension(line_network(10001), node=5000)
         assert est.value == pytest.approx(1.0, abs=0.05)
@@ -458,10 +483,14 @@ class TestInternalScaling:
         assert est.params["has_internal_scaling_dimension"] is False
         assert any("spread" in w for w in est.warnings)
 
-    def test_all_mode_agrees_on_line(self):
-        # interior nodes dominate a long line; estimates agree within tolerance
-        est = internal_scaling_dimension(line_network(501), agreement_tol=0.6)
+    def test_all_mode_agrees_on_cycle(self):
+        # every node of a cycle sees the same balls, so the per-node slopes agree
+        cycle = WeightedNetwork(301, tuple((i, (i + 1) % 301, 1.0) for i in range(301)))
+        est = internal_scaling_dimension(cycle)
+        assert est.params["per_node_spread"] < estimators.AGREEMENT_TOL
+        assert est.params["agreement_tol"] == estimators.AGREEMENT_TOL == 0.25
         assert est.params["has_internal_scaling_dimension"] is True
+        assert est.warnings == ()
 
     def test_disconnected_rejected(self):
         net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))

@@ -232,9 +232,9 @@ def count_sweeps(monkeypatch):
     calls = []
     rows = spaces.shortest_path_rows
 
-    def counted(net, sources, **kwargs):
+    def counted(net, sources):
         calls.append(list(sources))
-        return rows(net, sources, **kwargs)
+        return rows(net, sources)
 
     monkeypatch.setattr(spaces, "shortest_path_rows", counted)
     return calls
@@ -286,13 +286,6 @@ class TestNetworkDiameter:
         assert diam == induced_diameter(net, range(net.node_count)) == 2**generation
         assert len(calls) == net.node_count  # the eccentricity bounds never prune
 
-    def test_graph_built_once(self, monkeypatch):
-        built = []
-        make = spaces.csr_graph
-        monkeypatch.setattr(spaces, "csr_graph", lambda net: built.append(net) or make(net))
-        network_diameter(flower_22(3))
-        assert len(built) == 1
-
     def test_disconnected_inf(self):
         net = WeightedNetwork(4, ((0, 1, 1.0), (2, 3, 1.0)))
         assert network_diameter(net) == math.inf
@@ -306,11 +299,11 @@ class TestNetworkDiameter:
     )
     def test_directed_rows_equal_undirected_search(self, net):
         sources = np.arange(net.node_count)
-        undirected = dijkstra(spaces.csr_graph(net), directed=False, indices=sources)
+        undirected = dijkstra(net.graph, directed=False, indices=sources)
         assert np.array_equal(shortest_path_rows(net, sources), undirected)
 
     def test_random_networks_cover_several_components(self):
-        parts = [connected_components(spaces.csr_graph(random_network(seed)))[0]
+        parts = [connected_components(random_network(seed).graph)[0]
                  for seed in range(20)]
         assert min(parts) == 1 and max(parts) > 1
 
