@@ -323,27 +323,33 @@ def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> Di
 
 def pair_correlation(cloud: PointCloud, eps_grid) -> list:
     """C(eps) = fraction of unordered point pairs at distance <= eps."""
-    d = np.sort(pdist(cloud.points))
-    total = d.size
-    return [float(np.searchsorted(d, e, side="right")) / total for e in eps_grid]
+    return _fractions_at_most(np.sort(pdist(cloud.points)), eps_grid)
+
+
+def _fractions_at_most(d: np.ndarray, eps_grid) -> list:
+    """Fraction of the ascending distances d at most each eps."""
+    return [float(np.searchsorted(d, e, side="right")) / d.size for e in eps_grid]
 
 
 def correlation_dimension(cloud: PointCloud, eps_grid=None, window=None) -> DimensionEstimate:
-    """Pair-counting estimator: slope of log C(eps) against log eps."""
+    """Pair-counting estimator: slope of log C(eps) against log eps.
+
+    One pdist vector, sorted in place, gives the default grid and C(eps).
+    """
     if cloud.n < 2:
         raise ValueError("correlation dimension requires at least 2 points")
     d = pdist(cloud.points)
-    d_max = float(d.max())
+    d.sort()
+    d_max = float(d[-1])
     if d_max == 0.0:
         raise DegenerateInputError("all points identical; correlation dimension undefined")
     if eps_grid is None:
         # mid-scale window: below d_max/6 boundary saturation sets in,
         # above d_max/48 lattice/discreteness artefacts do
-        positive = d[d > 0]
-        lo = max(float(np.min(positive)), d_max / 48.0)
+        lo = max(float(d[np.searchsorted(d, 0.0, side="right")]), d_max / 48.0)
         eps_grid = _geometric_grid(max(d_max / 6.0, lo * 2.0), lo, decreasing=False)
     eps_grid = scale_grid(eps_grid, "eps")
-    c = pair_correlation(cloud, eps_grid)
+    c = _fractions_at_most(d, eps_grid)
     if any(v == 0.0 for v in c):
         raise ValueError("eps grid extends below the smallest pairwise distance")
     params = {"eps_grid": eps_grid, "window": window, "n_points": cloud.n}

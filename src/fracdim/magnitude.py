@@ -87,15 +87,25 @@ class _OneBlasThread:
 _ONE_BLAS_THREAD = _OneBlasThread()
 
 
+# Rows of zeta per block when zeta @ w rebuilds zeta from the metric, so the
+# scratch holds ROWS x n floats, not n x n. A multiple of 4: OpenBLAS's
+# dgemv groups rows by 4, so a block that starts at a multiple of 4 gives
+# the bits of the whole zeta @ w. A one-row block goes to ddot and can
+# differ, so a one-row tail joins the block before it.
+ROWS = 32
+
+
 def _solve_curve(dist: np.ndarray, t_grid) -> list:
     """(magnitude, residual) of tX for each t; dist must be finite.
 
-    zeta = exp(-t d) is built in place in one C-order buffer and copied
-    into one Fortran-order buffer that LAPACK's Cholesky overwrites, so a
-    curve holds 2 n^2 floats beside the metric whatever its length.
-    Cholesky is exact for Euclidean-embeddable metrics; where it fails, a
-    general symmetric solve on the untouched zeta. One iterative-refinement
-    step either way.
+    A curve holds one Fortran-order n x n buffer, and a scratch of about
+    ROWS rows, beside the metric whatever its length. Per t, zeta =
+    exp(-t d) is written block by block into the buffer's C-order view and
+    LAPACK's Cholesky overwrites the buffer; each zeta @ w rebuilds zeta's
+    blocks from the metric in the scratch. Cholesky is exact for
+    Euclidean-embeddable metrics; where it fails, zeta is rebuilt whole in
+    the buffer for a general symmetric solve. One iterative-refinement step
+    either way. Every value has the bits of a solve on a whole C-order zeta.
 
     The t loop runs with every loaded OpenBLAS at one thread (numpy's for
     zeta @ w, scipy's for the factorisation and the solves), so values do
@@ -109,26 +119,45 @@ def _solve_curve(dist: np.ndarray, t_grid) -> list:
     n = dist.shape[0]
     if n == 0:
         return [(0.0, 0.0)] * len(t_grid)
+    starts = list(range(0, max(n - 1, 1), ROWS))
+    blocks = list(zip(starts, starts[1:] + [n]))
     ones = np.ones(n)
-    zeta = np.empty((n, n))
     factor = np.empty((n, n), order="F")
+    scratch = np.empty((max(hi - lo for lo, hi in blocks), n))
     results = []
     with _ONE_BLAS_THREAD:
         for t in t_grid:
-            np.multiply(dist, -t, out=zeta)
-            np.exp(zeta, out=zeta)
-            np.copyto(factor, zeta.T)  # zeta is exactly symmetric: a plain memcpy
-            results.append(_solve_in_buffers(zeta, factor, ones))
+            results.append(_solve_in_buffers(dist, t, blocks, factor, scratch, ones))
     return results
 
 
-def _solve_in_buffers(zeta, factor, ones):
-    """Solve zeta w = 1 with factor as scratch; returns (sum(w), residual)."""
+def _zeta_into(dist_rows, t, out):
+    """exp(-t d) of the given rows of the metric, written into out; returns out."""
+    np.multiply(dist_rows, -t, out=out)
+    return np.exp(out, out=out)
+
+
+def _zeta_times(dist, t, blocks, scratch, w):
+    """zeta @ w, each block of zeta rebuilt from dist into scratch."""
+    product = np.empty(len(dist))
+    for lo, hi in blocks:
+        np.matmul(_zeta_into(dist[lo:hi], t, scratch[: hi - lo]), w, out=product[lo:hi])
+    return product
+
+
+def _solve_in_buffers(dist, t, blocks, factor, scratch, ones):
+    """Solve zeta w = 1 at scale t in the buffers; returns (sum(w), residual)."""
+    zeta = factor.T  # C-order view of the Fortran-order buffer
+    for lo, hi in blocks:
+        _zeta_into(dist[lo:hi], t, zeta[lo:hi])
     factor, info = lapack.dpotrf(factor, lower=0, overwrite_a=1, clean=0)
     if info == 0:
+        times = functools.partial(_zeta_times, dist, t, blocks, scratch)
         w = lapack.dpotrs(factor, ones)[0]
-        w = w + lapack.dpotrs(factor, ones - zeta @ w)[0]
+        w = w + lapack.dpotrs(factor, ones - times(w))[0]
     else:
+        _zeta_into(dist, t, zeta)  # dpotrf overwrote one triangle
+        times = zeta.__matmul__
         try:
             w = scipy.linalg.solve(zeta, ones, assume_a="sym")
             w = w + scipy.linalg.solve(zeta, ones - zeta @ w, assume_a="sym")
@@ -136,7 +165,7 @@ def _solve_in_buffers(zeta, factor, ones):
             return math.nan, math.inf
     if not np.all(np.isfinite(w)):
         return math.nan, math.inf
-    residual = float(np.max(np.abs(zeta @ w - ones)))
+    residual = float(np.max(np.abs(times(w) - ones)))
     return float(w.sum()), residual
 
 

@@ -4,8 +4,8 @@ Deliberately naive implementations on separate code paths from the
 package: dense boundary-matrix reduction, loop-based counting, Prim MST,
 Kruskal minimum spanning forests, exhaustive minimal covers, a non-lazy
 greedy cover, a triangle-inequality scan, magnitude via explicit matrix
-inversion and via scipy's Cholesky helpers, persistent magnitude one
-interval at a time.
+inversion, via scipy's Cholesky helpers and via its symmetric solve,
+persistent magnitude one interval at a time.
 """
 
 import heapq
@@ -244,20 +244,35 @@ def cholesky_magnitude(dist, t):
     return float(w.sum())
 
 
-def cholesky_magnitudes_at_one_blas_thread(dist, grid):
-    """cholesky_magnitude of tX for each t, in a child Python under OPENBLAS_NUM_THREADS=1.
+def symmetric_solve_magnitude(dist, t):
+    """Magnitude of tX by scipy's general symmetric solve and one refinement step.
 
-    The BLAS thread count can move the last bit of a solve. The child has
-    one BLAS thread from its start, set by the environment alone, not by
-    the package. The metric goes in as .npy bytes, the values come back as
-    JSON (float repr round-trips exactly).
+    The similarity matrix is built whole, as for cholesky_magnitude; the
+    solve factors it with pivoting, so it also holds where zeta is
+    indefinite.
+    """
+    zeta = np.exp(-(np.asarray(dist) * t))
+    ones = np.ones(len(zeta))
+    w = scipy.linalg.solve(zeta, ones, assume_a="sym")
+    w = w + scipy.linalg.solve(zeta, ones - zeta @ w, assume_a="sym")
+    return float(w.sum())
+
+
+def magnitudes_at_one_blas_thread(oracle, dist, grid):
+    """oracle(dist, t) for each t, in a child Python under OPENBLAS_NUM_THREADS=1.
+
+    oracle is a function of this module. The BLAS thread count can move
+    the last bit of a solve. The child has one BLAS thread from its start,
+    set by the environment alone, not by the package. The metric goes in
+    as .npy bytes, the values come back as JSON (float repr round-trips
+    exactly).
     """
     code = (
         "import io, json, sys\n"
         "import numpy as np\n"
-        "from oracles import cholesky_magnitude\n"
+        f"from oracles import {oracle.__name__} as oracle\n"
         "dist = np.load(io.BytesIO(sys.stdin.buffer.read()))\n"
-        f"print(json.dumps([cholesky_magnitude(dist, t) for t in {[float(t) for t in grid]!r}]))\n"
+        f"print(json.dumps([oracle(dist, t) for t in {[float(t) for t in grid]!r}]))\n"
     )
     buffer = io.BytesIO()
     np.save(buffer, np.asarray(dist, dtype=float))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from fracdim import (
     DegenerateInputError,
@@ -158,6 +159,22 @@ class TestCorrelationDimension:
         for eps in (0.1, 0.35, 0.8):
             got = pair_correlation(cloud, [eps])[0]
             assert got == pytest.approx(naive_pair_fraction(cloud.points, eps))
+
+    @pytest.mark.parametrize("eps_grid", [None, [0.05, 0.1, 0.2, 0.4]])
+    def test_one_pdist_gives_the_pair_fractions(self, monkeypatch, eps_grid):
+        cloud = sierpinski_triangle(5)
+        calls = []
+
+        def counting_pdist(*args, **kwargs):
+            calls.append(args)
+            return pdist(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "pdist", counting_pdist)
+        est = correlation_dimension(cloud, eps_grid)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        grid = est.params["eps_grid"]
+        assert [c for _, c in est.points] == pair_correlation(cloud, grid)
 
     def test_uniform_interval(self):
         rng = np.random.default_rng(0)

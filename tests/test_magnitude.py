@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,11 @@ from fracdim import (
     vietoris_rips,
 )
 from oracles import (
-    cholesky_magnitudes_at_one_blas_thread,
+    cholesky_magnitude,
+    magnitudes_at_one_blas_thread,
     naive_magnitude,
     naive_persistent_magnitude,
+    symmetric_solve_magnitude,
 )
 
 
@@ -183,12 +186,35 @@ class TestMagnitudeFunction:
         with pytest.raises(ValueError):
             magnitude_function(two_point_metric(1.0), [2.0, 1.0])
 
-    def test_values_equal_cholesky_oracle_bit_for_bit(self):
-        metric = euclidean_metric(subsample(sierpinski_triangle(7), 300, 11))
+    # zeta @ w is formed in blocks of rows; these sizes end in a block of
+    # 1, 7, 1 (joined to the one before it) and 11 rows
+    @pytest.mark.parametrize("n", [1, 7, 33, 299])
+    def test_values_equal_cholesky_oracle_bit_for_bit(self, n):
+        metric = euclidean_metric(subsample(sierpinski_triangle(7), n, 11))
         grid = [float(t) for t in range(1, 101)]
         samples = magnitude_function(metric, grid)
         assert all(samples.accepted())
-        assert samples.values == tuple(cholesky_magnitudes_at_one_blas_thread(metric.dist, grid))
+        expected = magnitudes_at_one_blas_thread(cholesky_magnitude, metric.dist, grid)
+        assert samples.values == tuple(expected)
+
+    def test_fallback_values_equal_symmetric_solve_oracle_bit_for_bit(self):
+        dist = k32_metric()
+        grid = [0.1, 0.2, 0.3]  # zeta is indefinite at each
+        samples = magnitude_function(MetricView(dist), grid)
+        assert all(samples.accepted())
+        expected = magnitudes_at_one_blas_thread(symmetric_solve_magnitude, dist, grid)
+        assert samples.values == tuple(expected)
+
+    def test_curve_holds_one_n_by_n_buffer_beside_the_metric(self):
+        metric = euclidean_metric(subsample(sierpinski_triangle(7), 500, 11))
+        n = metric.size
+        tracemalloc.start()
+        try:
+            magnitude_function(metric, [1.0, 2.0, 3.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_failed_cholesky_falls_back_then_buffers_are_reused(self, monkeypatch):
         dist = k32_metric()
