@@ -53,7 +53,6 @@ def _flag_families():
     names = ("input", "out", "eps", "window", "t", "ph", "node", "level", "tree", "n")
     family = {name: argparse.ArgumentParser(add_help=False) for name in names}
     family["input"].add_argument("--input", required=True, help="point CSV or edge-list file")
-    family["input"].add_argument("--seed", type=int, default=42)
     family["out"].add_argument("--out", default=None, help="output path (default: stdout)")
     eps = family["eps"]
     eps.add_argument("--eps-min", type=float, default=None)
@@ -66,6 +65,7 @@ def _flag_families():
     t.add_argument("--t-max", type=float, default=300.0)
     t.add_argument("--t-step", type=float, default=1.0)
     ph = family["ph"]
+    ph.add_argument("--seed", type=int, default=42)
     ph.add_argument("--degree", type=int, default=0)
     ph.add_argument("--alpha", type=float, default=1.0)
     ph.add_argument("--n-min", type=int, default=5)
@@ -189,7 +189,9 @@ def _eps_grid(args, decreasing):
         return None
     if args.eps_min is None or args.eps_max is None:
         raise UsageError("--eps-min and --eps-max must be given together")
-    if all(map(math.isfinite, (args.eps_min, args.eps_max))) and args.eps_min >= args.eps_max:
+    for bound in (args.eps_min, args.eps_max):  # finite and positive, before np.geomspace
+        spaces.scale_grid([bound], "eps")
+    if args.eps_min >= args.eps_max:
         raise UsageError("--eps-min must lie below --eps-max")
     grid = np.geomspace(args.eps_min, args.eps_max, count)
     grid = grid[::-1] if decreasing else grid
@@ -283,7 +285,7 @@ def _run_internal_scaling(args, net):
 
 
 # name -> (accepted input kinds, runner(args, space) -> DimensionEstimate, flag families
-# the runner reads); --input, --seed and --out are common to every estimator
+# the runner reads); --input and --out are common to every estimator
 ESTIMATORS = {
     "box": (("cloud", "network"), _run_box, ("eps", "window")),
     "correlation": (("cloud",), _run_correlation, ("eps", "window")),
@@ -308,8 +310,6 @@ def _cmd_estimate(args):
 
     record = result.to_json_dict()
     record["params"]["input"] = args.input
-    record["params"].setdefault("seed", args.seed)
-    record["seed"] = record["params"]["seed"]
     _write_output(json.dumps(record, indent=2) + "\n", args.out)
     return EXIT_OK
 

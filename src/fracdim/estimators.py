@@ -8,7 +8,6 @@ reproduce the run.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import asdict, dataclass
 
@@ -202,77 +201,49 @@ def greedy_cover(net: WeightedNetwork, eps: float, sizes=None) -> list:
     Greedy ball-growing: each round claims the radius-eps/2 ball (walked
     through uncovered nodes only, so parts stay internally connected)
     that covers the most uncovered nodes, ties broken by lowest centre
-    id. Lazy re-evaluation: restricted balls only shrink as the cover
-    grows, so stale queue entries are safe to refresh on demand. Stale
-    entries at the top of the queue are refreshed together, 1, 2, 4, ...
-    up to ROW_BLOCK per search within a round; a refresh only makes an
-    upper bound exact, so the claimed ball is unchanged. `sizes` holds
-    every node's first ball size at radius eps/2 (`first_ball_sizes`),
-    computed here when None. Balls come from scipy's Dijkstra on a private
-    copy of `net.graph`; memory is O(ROW_BLOCK * n + m).
+    id. `sizes` holds every node's first ball size at radius eps/2
+    (`first_ball_sizes`, computed here when None). A private copy keeps
+    one size per node, 0 once covered. A claim shrinks only balls that
+    held a claimed node, whose centres lie within eps of the claimed
+    centre, so those are recounted each round. Sizes only shrink, so
+    every stored size bounds its ball from above; the largest is checked
+    against its ball before the claim, which keeps the cover exact where
+    float sums along the two search directions differ in the last bit.
+    Balls come from scipy's Dijkstra on a private copy of `net.graph`;
+    memory is O(ROW_BLOCK * n + m).
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be finite and positive")
-    n = net.node_count
     graph = net.graph.copy()
     radius = eps / 2.0
     if sizes is None:
         sizes = first_ball_sizes(net, [radius])[:, 0]
-
-    def within(sources):  # ball membership, one row per source
-        return dijkstra(graph, directed=True, indices=sources, limit=radius) <= radius
-
-    heap = list(zip((-sizes).tolist(), range(n)))
-    heapq.heapify(heap)
-    covered = np.zeros(n, dtype=bool)
-    fresh = [0] * n  # round at which the queued size was computed
-    best = None  # (-size, centre, ball) of the largest ball refreshed this round
-    batch = 1  # stale entries refreshed by the next search
-    rounds = 0
+    sizes = np.array(sizes, dtype=np.int64)  # the caller's array stays as passed
     parts = []
-    while heap:
-        size, centre = heapq.heappop(heap)
-        if covered[centre]:
-            continue
-        if size == -1:
-            # a ball holds its centre, so every bound left is exact: the
-            # uncovered nodes remain, as singletons in id order
-            parts.extend([c] for c in np.flatnonzero(~covered).tolist())
+    while sizes.any():
+        centre = int(np.argmax(sizes))  # the first maximum: lowest id on ties
+        if sizes[centre] == 1:
+            # a ball holds its centre, so every uncovered node left is a
+            # singleton, in id order (covered nodes hold 0)
+            parts.extend([c] for c in np.flatnonzero(sizes).tolist())
             break
-        if fresh[centre] == rounds:
-            # the top is exact and bounds every other entry, so after a
-            # refresh this round it is the largest refreshed ball
-            part = best[2] if best else np.flatnonzero(within(centre))
-            covered[part] = True
-            # Cut every edge into a covered node. The search must stay
-            # directed: undirected mode takes min(G, G.T) and restores the
-            # cut direction. The cut weight is inf, not 0: scipy reads an
-            # explicit 0 in sparse input as a weight-0 edge.
-            graph.data[covered[graph.indices]] = np.inf
-            parts.append(part.tolist())
-            rounds += 1
-            best, batch = None, 1
+        row = dijkstra(graph, directed=True, indices=centre, limit=eps)
+        part = np.flatnonzero(row <= radius)
+        if len(part) < sizes[centre]:  # a stale bound: store it exact and pick again
+            sizes[centre] = len(part)
             continue
-        # stale upper bound: refresh it with the next stale entries and
-        # requeue them all; sizes only shrink
-        stale = [centre]
-        while len(stale) < batch and heap:
-            size, node = heap[0]
-            if covered[node]:
-                heapq.heappop(heap)
-            elif size == -1 or fresh[node] == rounds:
-                break
-            else:
-                stale.append(heapq.heappop(heap)[1])
-        balls = within(stale)
-        refreshed = (-np.count_nonzero(balls, axis=1)).tolist()
-        for size, node in zip(refreshed, stale):
-            fresh[node] = rounds
-            heapq.heappush(heap, (size, node))
-        top = min(zip(refreshed, stale))
-        if best is None or top < best[:2]:
-            best = (*top, np.flatnonzero(balls[stale.index(top[1])]))
-        batch = min(2 * batch, ROW_BLOCK)
+        sizes[part] = 0
+        parts.append(part.tolist())
+        # Cut every edge into a covered node. The search must stay
+        # directed: undirected mode takes min(G, G.T) and restores the
+        # cut direction. The cut weight is inf, not 0: scipy reads an
+        # explicit 0 in sparse input as a weight-0 edge.
+        graph.data[sizes[graph.indices] == 0] = np.inf
+        stale = np.flatnonzero((row <= eps) & (sizes > 0))
+        for start in range(0, len(stale), ROW_BLOCK):
+            block = stale[start : start + ROW_BLOCK]
+            balls = dijkstra(graph, directed=True, indices=block, limit=radius) <= radius
+            sizes[block] = np.count_nonzero(balls, axis=1)
     return parts
 
 
@@ -375,8 +346,8 @@ class PHDimensionConfig:
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         if len(self.n_schedule) < 2:
             raise ValueError("n_schedule needs at least 2 sizes")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):

@@ -124,7 +124,9 @@ class TestEstimate:
         assert record["estimator"] == "box"
         assert 1.3 <= record["value"] <= 1.8
         assert record["params"]["input"] == str(path)
-        assert record["seed"] == 42
+        # box reads no seed, so none is recorded
+        assert record["seed"] is None
+        assert "seed" not in record["params"]
         assert isinstance(record["points"], list)
 
     def test_ph_dim_sierpinski(self, tmp_path, capsys):
@@ -387,13 +389,17 @@ class TestEstimate:
              "--eps-min must lie below --eps-max"),
             ("internal-scaling", ["--input", "n.edges", "--eps-min", "0.5", "--eps-max", "0.01"],
              "--eps-min must lie below --eps-max"),
+            ("ph-dim", ["--alpha", "inf"], "alpha must be positive and finite"),
+            ("box", ["--eps-min", "0", "--eps-max", "0.5"], "eps grid must be positive"),
+            ("correlation", ["--eps-min", "-1", "--eps-max", "1"], "eps grid must be positive"),
         ],
         ids=["t-step-magnitude", "t-step-alpha", "n-step", "eps-count", "missing", "directory",
              "node", "eps-nan-box", "eps-nan-internal-scaling", "t-max-inf-magnitude",
              "t-max-inf-alpha", "t-min-nan", "t-step-inf", "eps-underflow-network-box",
              "eps-tiny-box", "one-sample-window-magnitude", "one-sample-window-alpha",
              "eps-min-alone", "eps-max-alone", "eps-count-alone", "eps-count-one-bound",
-             "eps-reversed-box", "eps-reversed-correlation", "eps-reversed-internal-scaling"],
+             "eps-reversed-box", "eps-reversed-correlation", "eps-reversed-internal-scaling",
+             "alpha-inf", "eps-min-zero", "eps-min-negative"],
     )
     def test_bad_argument_or_input_exit2(
         self, tmp_path, capsys, monkeypatch, estimator, flags, message
@@ -457,12 +463,12 @@ class TestEstimate:
         assert exc.value.code == 2
 
 
-# each estimator's flags beside --input, --seed and --out, by family
+# each estimator's flags beside --input and --out, by family
 FAMILY_FLAGS = {
     "eps": ["--eps-min", "--eps-max", "--eps-count"],
     "window": ["--fit-lo", "--fit-hi"],
     "t": ["--t-min", "--t-max", "--t-step"],
-    "ph": ["--degree", "--alpha", "--n-min", "--n-max", "--n-step", "--repeats", "--fit-tail"],
+    "ph": ["--seed", "--degree", "--alpha", "--n-min", "--n-max", "--n-step", "--repeats", "--fit-tail"],
     "node": ["--node"],
 }
 OWN_FAMILIES = {
@@ -543,7 +549,7 @@ def test_estimator_help_lists_exactly_its_families_flags(capsys, name):
     assert exc.value.code == 0
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     own = {flag for family in OWN_FAMILIES[name] for flag in FAMILY_FLAGS[family]}
-    assert listed == {"--help", "--input", "--seed", "--out", *own}
+    assert listed == {"--help", "--input", "--out", *own}
 
 
 def test_readme_cli_commands_parse():

@@ -53,6 +53,36 @@ from test_spaces import flower_22, random_connected_network
 LOG3_LOG2 = math.log(3) / math.log(2)
 # connected, but the 0-2 path length overflows float64
 OVERFLOW_NET = WeightedNetwork(3, ((0, 1, 1e308), (1, 2, 1e308)))
+# at eps = 1.4, recounting only the balls centred within eps of each
+# claimed centre splits the second part: one float sum along the two
+# search directions differs in the last bit
+SEVEN_NODE_NET = WeightedNetwork(7, (
+    (0, 5, 0.3), (1, 2, 0.4), (1, 4, 0.2), (2, 6, 0.7), (3, 4, 0.6), (3, 5, 0.6), (5, 6, 0.4),
+))
+
+
+def grid_network(side, torus=False):
+    """side x side square lattice with unit weights, wrapped into a torus on request."""
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side or torus:
+                edges.append((v, r * side + (c + 1) % side, 1.0))
+            if r + 1 < side or torus:
+                edges.append((v, (r + 1) % side * side + c, 1.0))
+    return WeightedNetwork(side * side, tuple(edges))
+
+
+def small_world_ring(n, seed):
+    """Seeded Newman-Watts small world: a ring joining each node to its
+    two nearest neighbours on each side plus n/10 random shortcuts,
+    weights uniform in (0.5, 1.5)."""
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted((v, (v + k) % n))) for v in range(n) for k in (1, 2)}
+    while len(pairs) < 2 * n + n // 10:
+        pairs.add(tuple(sorted(int(x) for x in rng.choice(n, 2, replace=False))))
+    return WeightedNetwork(n, tuple((u, v, float(rng.uniform(0.5, 1.5))) for u, v in sorted(pairs)))
 
 
 class TestLogLogFit:
@@ -299,6 +329,10 @@ class TestBoxCountingNetwork:
     def test_eps_below_min_weight_singletons(self, fig7_left):
         assert len(greedy_cover(fig7_left, 0.5)) == 4
 
+    def test_greedy_cover_of_no_node_or_one(self):
+        assert greedy_cover(WeightedNetwork(0, ()), 1.0) == []
+        assert greedy_cover(WeightedNetwork(1, ()), 1.0) == [[0]]
+
     def test_greedy_cover_is_partition_with_bounded_diameter(self):
         net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
         metric_nodes = list(range(net.node_count))
@@ -322,9 +356,12 @@ class TestBoxCountingNetwork:
             WeightedNetwork(9, tuple((0, i, 0.5 * i) for i in range(1, 9))),
             *(sierpinski_tree(SierpinskiTreeParams(3, 0.5, k)) for k in (2, 3, 4, 5)),
             flower_22(3),
+            grid_network(6),
+            grid_network(6, torus=True),
+            small_world_ring(60, 7),
         ],
         ids=["line-3", "line-5", "line-64", "line-201", "star", "tree-2", "tree-3", "tree-4",
-             "tree-5", "flower-3"],
+             "tree-5", "flower-3", "grid-6", "torus-6", "small-world-60"],
     )
     def test_greedy_cover_matches_naive_oracle(self, net):
         for eps in box_counting_network(net).params["eps_grid"]:
@@ -334,6 +371,20 @@ class TestBoxCountingNetwork:
         for net in (fig7_left, fig7_right):
             for eps in box_counting_network(net).params["eps_grid"]:
                 assert greedy_cover(net, eps) == naive_greedy_cover(net, eps)
+
+    def test_greedy_cover_rechecks_a_stale_size(self):
+        expected = [[1, 2, 4, 6], [0, 3, 5]]
+        assert naive_greedy_cover(SEVEN_NODE_NET, 1.4) == expected
+        assert greedy_cover(SEVEN_NODE_NET, 1.4) == expected
+
+    def test_greedy_cover_leaves_passed_sizes_unchanged(self):
+        net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
+        eps_grid = box_counting_network(net).params["eps_grid"]
+        sizes = estimators.first_ball_sizes(net, [e / 2.0 for e in eps_grid])
+        before = sizes.copy()
+        for k, eps in enumerate(eps_grid):
+            assert greedy_cover(net, eps, sizes[:, k]) == greedy_cover(net, eps)
+        assert np.array_equal(sizes, before)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_greedy_cover_matches_naive_oracle_random_weights(self, seed):
@@ -364,7 +415,7 @@ class TestBoxCountingNetwork:
 
     def test_line_2001_search_count(self, monkeypatch):
         # one single-ball search per refresh made 8,756 calls; the grid's
-        # first-ball pass and block refreshes make 3,425
+        # first-ball pass, one search per claim and block refreshes make 2,429
         calls = []
         search = estimators.dijkstra
         monkeypatch.setattr(
