@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateInputError,
@@ -29,6 +29,7 @@ from .magnitude import (  # unused here; perfbench/tracer.py wraps them under th
 from .persistence import h0_union_find  # unused here; perfbench/tracer.py wraps it
 from .persistence import persistence, spanning_forest_weights
 from .spaces import (
+    ROW_BLOCK,
     MetricView,
     PointCloud,
     WeightedNetwork,
@@ -42,7 +43,7 @@ from .spaces import (
 
 R2_WARN_THRESHOLD = 0.9
 AGREEMENT_TOL = 0.25  # widest per-node slope spread that still reads one internal dimension
-ROW_BLOCK = 256  # Dijkstra rows held at once: all-node internal scaling, cover ball sizes
+PAIR_CELLS = 1 << 17  # pair distances held at once by the correlation counter
 
 
 @dataclass(frozen=True)
@@ -292,35 +293,66 @@ def box_counting_network(net: WeightedNetwork, eps_grid=None, window=None) -> Di
 # correlation dimension
 
 
+def _pair_blocks(points: np.ndarray):
+    """Yield (block, padding) over the unordered pairs of points, one row block at a time.
+
+    A block holds rows [lo, hi) against points[lo:], about PAIR_CELLS
+    distances; its `padding` cells on or below the diagonal read 0, so
+    every pair i < j is held once, at d(i, j), over the whole pass.
+    """
+    n = len(points)
+    rows = max(1, PAIR_CELLS // n)
+    for lo in range(0, n, rows):
+        b = min(rows, n - lo)
+        block = cdist(points[lo : lo + b], points[lo:])
+        block[:, :b][np.tri(b, dtype=bool)] = 0.0
+        yield block, b * (b + 1) // 2
+
+
 def pair_correlation(cloud: PointCloud, eps_grid) -> list:
-    """C(eps) = fraction of unordered point pairs at distance <= eps."""
-    return _fractions_at_most(np.sort(pdist(cloud.points)), eps_grid)
+    """C(eps) = fraction of unordered point pairs at distance <= eps.
 
-
-def _fractions_at_most(d: np.ndarray, eps_grid) -> list:
-    """Fraction of the ascending distances d at most each eps."""
-    return [float(np.searchsorted(d, e, side="right")) / d.size for e in eps_grid]
+    One pass of row blocks (`_pair_blocks`): each block is sorted in
+    place and searched once for the whole grid, so the counts are exact
+    int64 whatever the grid length, and memory is O(PAIR_CELLS + len(eps_grid)).
+    """
+    at_most = np.zeros(len(eps_grid), dtype=np.int64)
+    padding = 0
+    for block, pad in _pair_blocks(cloud.points):
+        block = block.ravel()
+        block.sort()
+        at_most += np.searchsorted(block, eps_grid, side="right")
+        padding += pad
+    # every eps >= 0 counts each padding 0; a negative eps counts no pair
+    at_most = np.maximum(at_most - padding, 0)
+    pairs = cloud.n * (cloud.n - 1) // 2
+    return [float(k) / pairs for k in at_most.tolist()]
 
 
 def correlation_dimension(cloud: PointCloud, eps_grid=None, window=None) -> DimensionEstimate:
     """Pair-counting estimator: slope of log C(eps) against log eps.
 
-    One pdist vector, sorted in place, gives the default grid and C(eps).
+    C(eps) comes from `pair_correlation`. Only the default grid needs the
+    largest and the smallest positive distance, read in a first pass of
+    the same row blocks, so memory stays O(PAIR_CELLS) for any n.
     """
     if cloud.n < 2:
         raise ValueError("correlation dimension requires at least 2 points")
-    d = pdist(cloud.points)
-    d.sort()
-    d_max = float(d[-1])
-    if d_max == 0.0:
+    # every distance is 0 exactly when each coordinate's spread squares to
+    # 0.0: no pair's squared difference along an axis exceeds that square
+    if not np.any(np.ptp(cloud.points, axis=0) ** 2):
         raise DegenerateInputError("all points identical; correlation dimension undefined")
     if eps_grid is None:
+        d_max, d_min = 0.0, math.inf
+        for block, _ in _pair_blocks(cloud.points):
+            d_max = max(d_max, float(block.max()))
+            d_min = min(d_min, float(np.min(block, where=block > 0.0, initial=math.inf)))
         # mid-scale window: below d_max/6 boundary saturation sets in,
         # above d_max/48 lattice/discreteness artefacts do
-        lo = max(float(d[np.searchsorted(d, 0.0, side="right")]), d_max / 48.0)
+        lo = max(d_min, d_max / 48.0)
         eps_grid = _geometric_grid(max(d_max / 6.0, lo * 2.0), lo, decreasing=False)
     eps_grid = scale_grid(eps_grid, "eps")
-    c = _fractions_at_most(d, eps_grid)
+    c = pair_correlation(cloud, eps_grid)
     if any(v == 0.0 for v in c):
         raise ValueError("eps grid extends below the smallest pairwise distance")
     params = {"eps_grid": eps_grid, "window": window, "n_points": cloud.n}

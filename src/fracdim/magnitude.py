@@ -28,7 +28,8 @@ RESIDUAL_TOL = 1e-8
 
 
 def _check_finite(metric: MetricView):
-    if metric.size and not np.all(np.isfinite(metric.dist)):
+    # a MetricView holds no NaN or negative entry, so its maximum decides
+    if metric.size and not np.isfinite(metric.dist.max()):
         raise ValueError("magnitude requires all distances finite")
 
 

@@ -14,13 +14,14 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import ResourceLimitError
 
 TRIANGLE_LEVEL_CAP = 12
 CANTOR_LEVEL_CAP = 20
 NETWORK_NODE_CAP = 10**6  # generated networks; admits a level-12 tree at s = 3 (797,161 nodes)
+ROW_BLOCK = 256  # rows held at once: Dijkstra searches, symmetry checks
 
 _EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
 
@@ -39,7 +40,7 @@ class PointCloud:
             raise ValueError("need at least one point with at least one coordinate")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite")
-        # bounds every squared distance pdist forms, in O(n * dim)
+        # bounds every squared distance cdist forms, in O(n * dim)
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(np.ptp(pts, axis=0) ** 2)):
                 raise ValueError("pairwise distances overflow float64")
@@ -139,10 +140,11 @@ class MetricView:
             raise ValueError("dist must be a square matrix")
         if d.size and not np.all(np.diag(d) == 0.0):
             raise ValueError("diagonal must be zero")
-        if not np.all(d >= 0):  # False at NaN too
+        if d.size and not d.min() >= 0:  # False at NaN too
             raise ValueError("distances must be non-negative and not NaN")
-        if not np.array_equal(d, d.T):
-            raise ValueError("dist must be symmetric")
+        for lo in range(0, d.shape[0], ROW_BLOCK):  # upper triangle, no n x n temporary
+            if not np.array_equal(d[lo : lo + ROW_BLOCK, lo:], d[lo:, lo : lo + ROW_BLOCK].T):
+                raise ValueError("dist must be symmetric")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
         d = np.ascontiguousarray(d)
@@ -312,8 +314,8 @@ def shortest_path_metric(net: WeightedNetwork) -> MetricView:
 
 
 def euclidean_metric(cloud: PointCloud) -> MetricView:
-    """Pairwise Euclidean distances of a point cloud."""
-    return MetricView(squareform(pdist(cloud.points)))
+    """Pairwise Euclidean distances of a point cloud: one n x n array, no condensed copy."""
+    return MetricView(cdist(cloud.points, cloud.points))
 
 
 def rescale(metric: MetricView, t: float) -> MetricView:

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used only by the tests.
 
 Deliberately naive implementations on separate code paths from the
-package: dense boundary-matrix reduction, loop-based counting, Prim MST,
-Kruskal minimum spanning forests, exhaustive minimal covers, a non-lazy
-greedy cover, a triangle-inequality scan, magnitude via explicit matrix
-inversion, via scipy's Cholesky helpers and via its symmetric solve,
-persistent magnitude one interval at a time.
+package: dense boundary-matrix reduction, loop-based counting, pair
+counts from one sorted pdist vector, Prim MST, Kruskal minimum spanning
+forests, exhaustive minimal covers, a non-lazy greedy cover, a
+triangle-inequality scan, magnitude via explicit matrix inversion, via
+scipy's Cholesky helpers and via its symmetric solve, persistent
+magnitude one interval at a time.
 """
 
 import heapq
@@ -18,6 +19,7 @@ import sys
 
 import numpy as np
 import scipy.linalg
+from scipy.spatial.distance import pdist
 
 
 def naive_persistence_pairs(complex, max_degree):
@@ -83,6 +85,21 @@ def naive_pair_fraction(points, eps):
             if math.dist(points[i], points[j]) <= eps:
                 hits += 1
     return hits / (n * (n - 1) / 2)
+
+
+def sorted_pdist_correlation(points, eps_grid=None):
+    """(eps grid, C(eps)) from one sorted condensed distance vector.
+
+    With no grid, the default correlation grid is read from the sorted
+    vector: 12 geometric steps from max(smallest positive distance,
+    d_max / 48) to max(d_max / 6, twice that).
+    """
+    d = np.sort(pdist(points))
+    if eps_grid is None:
+        d_max = float(d[-1])
+        lo = max(float(d[np.searchsorted(d, 0.0, side="right")]), d_max / 48.0)
+        eps_grid = [float(g) for g in np.geomspace(lo, max(d_max / 6.0, lo * 2.0), 12)]
+    return eps_grid, [float(np.searchsorted(d, e, side="right")) / d.size for e in eps_grid]
 
 
 def naive_mst_total(points):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist
 
 from fracdim import (
     DegenerateInputError,
@@ -47,6 +46,7 @@ from oracles import (
     naive_h0_deaths,
     naive_mst_total,
     naive_pair_fraction,
+    sorted_pdist_correlation,
 )
 from test_spaces import flower_22, random_connected_network
 
@@ -190,21 +190,49 @@ class TestCorrelationDimension:
             got = pair_correlation(cloud, [eps])[0]
             assert got == pytest.approx(naive_pair_fraction(cloud.points, eps))
 
-    @pytest.mark.parametrize("eps_grid", [None, [0.05, 0.1, 0.2, 0.4]])
-    def test_one_pdist_gives_the_pair_fractions(self, monkeypatch, eps_grid):
-        cloud = sierpinski_triangle(5)
-        calls = []
-
-        def counting_pdist(*args, **kwargs):
-            calls.append(args)
-            return pdist(*args, **kwargs)
-
-        monkeypatch.setattr(estimators, "pdist", counting_pdist)
+    @pytest.mark.parametrize(
+        "points, eps_grid",
+        [
+            (np.array([[0.0, 0.0], [3.0, 4.0]]), None),
+            (np.random.default_rng(21).random((400, 1)), None),
+            (np.random.default_rng(22).random((400, 3)), None),
+            (np.repeat(np.random.default_rng(23).random((150, 2)), [1, 2, 3] * 50, axis=0), None),
+            (np.random.default_rng(24).random((1300, 2)), None),
+            (np.random.default_rng(25).random((1301, 2)), None),
+            (sierpinski_triangle(6).points, np.geomspace(0.02, 1.5, 2000).tolist()),
+        ],
+        ids=["two", "interval", "cube", "duplicates", "n1300", "n1301", "grid-2000"],
+    )
+    def test_counter_equals_sorted_pdist_oracle(self, points, eps_grid):
+        grid, fractions = sorted_pdist_correlation(points, eps_grid)
+        cloud = PointCloud(points)
         est = correlation_dimension(cloud, eps_grid)
-        assert len(calls) == 1
-        monkeypatch.undo()
-        grid = est.params["eps_grid"]
-        assert [c for _, c in est.points] == pair_correlation(cloud, grid)
+        assert est.params["eps_grid"] == grid
+        assert [c for _, c in est.points] == fractions
+        assert pair_correlation(cloud, grid) == fractions
+
+    @pytest.mark.parametrize("n, last_rows", [(1300, 100), (1301, 1)])
+    def test_blocks_end_at_and_one_past_a_boundary(self, n, last_rows):
+        # the n1300 and n1301 oracle cases: 13 blocks of 100 rows, then a 1-row block
+        blocks = list(estimators._pair_blocks(np.random.default_rng(n).random((n, 2))))
+        assert [len(b) for b, _ in blocks[:13]] == [100] * 13
+        assert len(blocks[-1][0]) == last_rows
+        assert sum(b.size - pad for b, pad in blocks) == n * (n - 1) // 2
+
+    def test_pair_correlation_in_any_grid_order(self, random_cloud):
+        cloud = random_cloud(300, seed=27)
+        grid = [0.5, -1.0, 0.1, 0.0, 2.0, 0.1]
+        assert pair_correlation(cloud, grid) == sorted_pdist_correlation(cloud.points, grid)[1]
+
+    def test_traced_peak_below_an_eighth_of_the_condensed_vector(self, random_cloud):
+        cloud = random_cloud(3000, seed=28)
+        tracemalloc.start()
+        try:
+            correlation_dimension(cloud)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3000 * 2999 // 2 * 8 / 8
 
     def test_uniform_interval(self):
         rng = np.random.default_rng(0)
@@ -219,6 +247,8 @@ class TestCorrelationDimension:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateInputError):
             correlation_dimension(PointCloud(np.zeros((10, 1))))
+        with pytest.raises(DegenerateInputError):  # distinct, but every distance underflows to 0
+            correlation_dimension(PointCloud(np.array([[0.0, 0.0], [1e-200, -1e-170]])), [1.0, 2.0])
         with pytest.raises(ValueError):
             correlation_dimension(PointCloud(np.zeros((1, 1))))
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components, dijkstra
+from scipy.spatial.distance import pdist, squareform
 
 from fracdim import (
     MetricView,
@@ -16,6 +17,7 @@ from fracdim import (
     derive_seed,
     euclidean_metric,
     line_network,
+    magnitude,
     network_diameter,
     rescale,
     shortest_path_metric,
@@ -349,6 +351,39 @@ class TestMetricOps:
     def test_metric_rejects_negative_or_nan_distance(self, bad):
         with pytest.raises(ValueError, match="distances must be non-negative and not NaN"):
             MetricView(np.array([[0.0, bad], [bad, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "i, j", [(290, 270), (255, 256)], ids=["last-partial-block", "block-boundary"]
+    )
+    def test_metric_rejects_one_asymmetric_entry(self, random_cloud, i, j):
+        d = euclidean_metric(random_cloud(300, seed=30)).dist.copy()
+        d[i, j] = np.nextafter(d[i, j], math.inf)
+        with pytest.raises(ValueError, match="symmetric"):
+            MetricView(d)
+
+    def test_metric_rejects_one_off_diagonal_nan(self, random_cloud):
+        d = euclidean_metric(random_cloud(300, seed=31)).dist.copy()
+        d[3, 200] = d[200, 3] = math.nan
+        with pytest.raises(ValueError, match="not NaN"):
+            MetricView(d)
+
+    def test_metric_accepts_inf_that_magnitude_rejects(self, random_cloud):
+        d = euclidean_metric(random_cloud(300, seed=32)).dist.copy()
+        d[3, 200] = d[200, 3] = math.inf
+        with pytest.raises(ValueError, match="requires all distances finite"):
+            magnitude(MetricView(d))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            sierpinski_triangle(5).points,
+            np.random.default_rng(33).random((200, 3)),
+            np.array([[0.0], [1e154], [2.5]]),
+        ],
+        ids=["sierpinski-5", "cube-200", "wide-line"],
+    )
+    def test_euclidean_metric_equals_squareform_pdist(self, points):
+        assert np.array_equal(euclidean_metric(PointCloud(points)).dist, squareform(pdist(points)))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_one_point_metric(self, dim):
