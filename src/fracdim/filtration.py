@@ -17,8 +17,9 @@ import numpy as np
 from .errors import DegenerateInputError, ResourceLimitError
 from .spaces import MetricView, PointCloud
 
-# vietoris_rips plus persistence peak at 221-309 bytes of RSS per simplex
-# (2- to 4-skeleta), so a complex at the cap stays under about 4.6 GB
+# RSS per simplex: vietoris_rips peaks at 92-129 bytes (2-skeleta at n = 150-300, a
+# 3-skeleton at n = 60), persistence at 149-252 rising with n (a reduced column holds
+# one bit per coface), so a complex at the cap needs 3.8 GB or more
 DEFAULT_SIMPLEX_CAP = 15_000_000
 # alpha_complex_2d treats a triangle as flat (collinear up to rounding) when
 # twice its area is at most this times its longest edge squared, that is
@@ -110,9 +111,18 @@ class FilteredComplex:
             _reject("duplicate simplex", verts[rows[1:][keys[1:] == keys[:-1]]])
             index.append((np.append(keys, np.iinfo(np.int64).max), np.append(rows, -1)))
             layers.append((verts, vals, faces))
+        self._freeze(layers)
+
+    @classmethod
+    def _from_sorted(cls, layers):
+        """Complex from layers (vertices, values, faces) built sorted and closed; not checked."""
+        return cls.__new__(cls)._freeze(layers)
+
+    def _freeze(self, layers):
         for array in (a for layer in layers for a in layer):
             array.setflags(write=False)
         self.vertices, self.values, self.faces = map(tuple, zip(*layers))
+        return self
 
     @property
     def max_dim(self) -> int:
@@ -149,9 +159,10 @@ def vietoris_rips(
     """Vietoris-Rips complex: simplices whose pairwise distances are <= max_scale.
 
     Simplex value = largest pairwise distance (0 for vertices); pairs at
-    infinite distance never form an edge. Layer d + 1 adds to each simplex
-    of layer d every common upper neighbour of its vertices, and is counted
-    against the simplex cap before it is allocated.
+    infinite distance never form an edge. Layer d + 1 adds to each row of
+    sorted layer d every common upper neighbour of its vertices, is counted
+    against the simplex cap before it is allocated, and is sorted once with
+    its face rows read off the enumeration (memory: see DEFAULT_SIMPLEX_CAP).
     """
     n = metric.size
     if not (0 <= max_dim <= max(n - 1, 0)):
@@ -167,18 +178,38 @@ def vietoris_rips(
         if total > cap:
             raise ResourceLimitError(f"simplex count exceeds cap {cap}; raise "
                                      "FRACDIM_MAX_SIMPLICES or lower max_dim/max_scale")
-        verts, vals, at = np.empty((count, dim + 1), np.int64), np.empty(count), 0
+        verts, vals, parent, at = (np.empty((count, dim + 1), np.int64), np.empty(count),
+                                   np.empty(count, np.int64), 0)
         for first, mask in _cofaces(upper, layer):
-            r, u = np.nonzero(mask)
-            rows, span = layer[first + r], slice(at, at + len(r))
-            verts[span, :-1], verts[span, -1] = rows, u
-            vals[span] = below[first + r]
-            for col in rows.T:
-                vals[span] = np.maximum(vals[span], d[col, u])
-            at += len(r)
-        layers.append((verts, vals))
+            p, u = np.nonzero(mask)
+            p += first
+            span = slice(at, at := at + len(p))
+            verts[span, :-1], verts[span, -1], parent[span], vals[span] = layer[p], u, p, below[p]
+            for k in range(dim):
+                np.maximum(vals[span], d[verts[span, k], u], out=vals[span])
+        p = u = mask = None  # the last block's arrays, freed before the faces
+        # coface j = (row parent[j] below, vertex u); without vertex k < dim it is (face k
+        # of that row, u): its key row * n + u among the ascending generation keys of the
+        # layer below gives its generation index, and the inverse permutation its row
+        u = verts[:, -1]
+        faces = np.empty((count, dim and dim + 1), np.int64)
+        for k in range(dim):  # below layer 0 lies the empty simplex: layer 0's keys are u
+            faces[:, k] = layers[-1][2][parent, k] * n if dim > 1 else 0
+            faces[:, k] += u
+            faces[:, k] = inverse[np.searchsorted(keys, faces[:, k])]
+        if dim:
+            faces[:, dim] = parent
+        keys = parent * n + u if dim < max_dim else None  # ascending generation keys
+        del parent
+        order = np.lexsort((*verts.T[::-1], vals))
+        if dim < max_dim:  # sorted row of each generated simplex
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(count)
+        for array in (verts, vals, faces):  # one sorted copy alive at a time
+            array[:] = array[order]
+        layers.append((verts, vals, faces))
         layer, below = verts, vals
-    return FilteredComplex(*zip(*layers))
+    return FilteredComplex._from_sorted(layers)
 
 
 def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:

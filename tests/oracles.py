@@ -1,7 +1,8 @@
 """Independent brute-force oracles used only by the tests.
 
 Deliberately naive implementations on separate code paths from the
-package: dense boundary-matrix reduction, loop-based counting, pair
+package: Vietoris-Rips layers from every vertex subset, dense
+boundary-matrix reduction, loop-based counting, pair
 counts from one sorted pdist vector, Prim MST, Kruskal minimum spanning
 forests, exhaustive minimal covers, a non-lazy greedy cover, a
 triangle-inequality scan, magnitude via explicit matrix inversion, via
@@ -11,6 +12,7 @@ magnitude one interval at a time.
 
 import heapq
 import io
+import itertools
 import json
 import math
 import os
@@ -20,6 +22,32 @@ import sys
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist
+
+
+def naive_rips_layers(dist, max_dim, max_scale=math.inf):
+    """Vietoris-Rips layers from every (d + 1)-subset of the vertices, d <= max_dim.
+
+    A subset enters when all its pairwise distances are finite and
+    <= max_scale, valued at the largest of them (0 for a vertex). Returns
+    lists (vertices, values, faces) per dimension, each layer sorted by
+    (value, vertices); faces[d][j][k] is the position in layer d - 1 of
+    simplex j without its k-th vertex, read from a dict.
+    """
+    n = len(dist)
+    vertices, values, faces, row = [], [], [], {}
+    for d in range(max_dim + 1):
+        layer = []
+        for s in itertools.combinations(range(n), d + 1):
+            pairs = [float(dist[a][b]) for a, b in itertools.combinations(s, 2)]
+            if all(math.isfinite(x) and x <= max_scale for x in pairs):
+                layer.append((max(pairs, default=0.0), s))
+        layer.sort()
+        values.append([value for value, _ in layer])
+        vertices.append([list(s) for _, s in layer])
+        faces.append([[row[s[:k] + s[k + 1:]] for k in range(len(s))] if d else []
+                      for _, s in layer])
+        row = {s: j for j, (_, s) in enumerate(layer)}
+    return vertices, values, faces
 
 
 def naive_persistence_pairs(complex, max_degree):

@@ -22,7 +22,7 @@ from fracdim import (
     vietoris_rips,
 )
 from fracdim.filtration import FilteredComplex, simplex_cap
-from oracles import naive_persistence_pairs
+from oracles import naive_persistence_pairs, naive_rips_layers
 
 SLOPES = (math.sqrt(2), math.sqrt(3), math.pi / 3, (1 + math.sqrt(5)) / 2, -math.e)
 
@@ -109,6 +109,19 @@ class TestVietorisRips:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2000**2  # a few n x n boolean masks, no simplex arrays
+
+    def test_build_peak_below_two_and_a_half_times_its_arrays(self):
+        # 88,641 simplices: each layer is built sorted with its face rows, so no
+        # re-sorted copy, key index or face lookup outlives its layer
+        metric = euclidean_metric(sierpinski_triangle(4))
+        tracemalloc.start()
+        try:
+            complex = vietoris_rips(metric, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layers = (complex.vertices, complex.values, complex.faces)
+        assert peak < 2.5 * sum(array.nbytes for layer in layers for array in layer)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", "123")
@@ -334,3 +347,31 @@ def test_vr_face_closure_random_metrics(seed):
     # construction validates closure internally
     vietoris_rips(euclidean_metric(cloud), 3)
 
+
+
+@st.composite
+def tied_rips_inputs(draw):
+    """Distances in {0, 1, 2, 3, inf} on 0 to 12 points, a max_dim up to 3 and a scale cut."""
+    n = draw(st.integers(0, 12))
+    d = np.zeros((n, n))
+    pairs = n * (n - 1) // 2
+    d[np.triu_indices(n, 1)] = draw(st.lists(st.sampled_from([1.0, 2.0, 3.0, 0.0, math.inf]),
+                                             min_size=pairs, max_size=pairs))
+    max_dim = draw(st.integers(0, min(3, max(n - 1, 0))))
+    return d + d.T, max_dim, draw(st.sampled_from([math.inf, 2.0, 1.0, 2.5, 0.0]))
+
+
+@given(tied_rips_inputs())
+@settings(max_examples=150, deadline=None)
+def test_vr_layers_equal_subset_oracle_and_validating_constructor(case):
+    dist, max_dim, max_scale = case
+    complex = vietoris_rips(MetricView(dist), max_dim, max_scale)
+    layers = (complex.vertices, complex.values, complex.faces)
+    assert [[array.tolist() for array in layer] for layer in layers] == list(
+        naive_rips_layers(dist, max_dim, max_scale)
+    )
+    checked = FilteredComplex(complex.vertices, complex.values)
+    for got, want in zip(layers, (checked.vertices, checked.values, checked.faces)):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            assert not a.flags.writeable
