@@ -57,28 +57,29 @@ def _flag_families():
     eps = family["eps"]
     eps.add_argument("--eps-min", type=float, default=None)
     eps.add_argument("--eps-max", type=float, default=None)
-    eps.add_argument("--eps-count", type=int, default=None, help="grid entries (default 12)")
+    eps.add_argument("--eps-count", type=int, default=None,
+                     help=f"grid entries (default {estimators.EPS_COUNT})")
     family["window"].add_argument("--fit-lo", type=int, default=None)
     family["window"].add_argument("--fit-hi", type=int, default=None)
-    t = family["t"]
-    t.add_argument("--t-min", type=float, default=1.0)
-    t.add_argument("--t-max", type=float, default=300.0)
-    t.add_argument("--t-step", type=float, default=1.0)
-    ph = family["ph"]
-    ph.add_argument("--seed", type=int, default=42)
-    ph.add_argument("--degree", type=int, default=0)
-    ph.add_argument("--alpha", type=float, default=1.0)
-    ph.add_argument("--n-min", type=int, default=5)
-    ph.add_argument("--n-max", type=int, default=200)
-    ph.add_argument("--n-step", type=int, default=5)
-    ph.add_argument("--repeats", type=int, default=5)
-    ph.add_argument("--fit-tail", type=int, default=36)
+    t, grid = family["t"], estimators.T_GRID
+    t.add_argument("--t-min", type=float, default=grid[0])
+    t.add_argument("--t-max", type=float, default=grid[-1])
+    t.add_argument("--t-step", type=float, default=grid[1] - grid[0])
+    ph, cfg = family["ph"], estimators.PHDimensionConfig()
+    ph.add_argument("--seed", type=int, default=cfg.seed)
+    ph.add_argument("--degree", type=int, default=cfg.degree)
+    ph.add_argument("--alpha", type=float, default=cfg.alpha)
+    ph.add_argument("--n-min", type=int, default=cfg.n_schedule[0])
+    ph.add_argument("--n-max", type=int, default=cfg.n_schedule[-1])
+    ph.add_argument("--n-step", type=int, default=cfg.n_schedule[1] - cfg.n_schedule[0])
+    ph.add_argument("--repeats", type=int, default=cfg.repeats)
+    ph.add_argument("--fit-tail", type=int, default=None)  # None: cfg's, fitted to the schedule
     family["node"].add_argument("--node", default="all", help="node id or 'all'")
     family["level"].add_argument("--level", type=int, required=True, help="iteration level")
-    tree = family["tree"]
+    tree, params = family["tree"], spaces.SierpinskiTreeParams
     tree.add_argument("--levels", type=int, required=True, help="recursion levels")
-    tree.add_argument("--s", type=int, default=3, help="copies per level")
-    tree.add_argument("--f", type=float, default=0.5, help="weight scaling factor")
+    tree.add_argument("--s", type=int, default=params.s, help="copies per level")
+    tree.add_argument("--f", type=float, default=params.f, help="weight scaling factor")
     family["n"].add_argument("--n", type=int, required=True, help="node count")
     return family
 
@@ -179,7 +180,7 @@ def _check_entries(flags, count):
 
 def _eps_grid(args, decreasing):
     """Geometric grid from --eps-min/--eps-max/--eps-count; None leaves the estimator's default."""
-    count = 12 if args.eps_count is None else args.eps_count
+    count = estimators.EPS_COUNT if args.eps_count is None else args.eps_count
     if count < 2:
         raise UsageError("--eps-count must be at least 2")
     _check_entries("--eps-count", count)
@@ -236,7 +237,8 @@ def _ph_config(args):
         n_schedule=schedule,
         repeats=args.repeats,
         seed=args.seed,
-        fit_tail=min(args.fit_tail, len(schedule)),
+        fit_tail=min(estimators.PHDimensionConfig.fit_tail, len(schedule))
+        if args.fit_tail is None else args.fit_tail,  # an explicit tail is checked as given
     )
 
 

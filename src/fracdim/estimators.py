@@ -44,6 +44,8 @@ from .spaces import (
 R2_WARN_THRESHOLD = 0.9
 AGREEMENT_TOL = 0.25  # widest per-node slope spread that still reads one internal dimension
 PAIR_CELLS = 1 << 17  # pair distances held at once by the correlation counter
+EPS_COUNT = 12  # entries of a default eps grid
+T_GRID = tuple(float(t) for t in range(1, 301))  # the default t grid
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def loglog_fit(xs, ys, window=None) -> LogLogFit:
     return LogLogFit((lo, hi), float(slope), float(intercept), r2)
 
 
-def _geometric_grid(hi, lo, count=12, decreasing=True):
+def _geometric_grid(hi, lo, count=EPS_COUNT, decreasing=True):
     grid = np.geomspace(hi, lo, count) if decreasing else np.geomspace(lo, hi, count)
     return [float(g) for g in grid]
 
@@ -404,8 +406,15 @@ def power_weighted_sum(barcode, alpha: float) -> float:
 
 
 def _power_sum(lengths, alpha: float) -> float:
-    """Python-float sum of length**alpha in the given order."""
-    return float(sum(x**alpha for x in lengths))
+    """Python-float sum of length**alpha in the given order; undefined past float64."""
+    try:
+        total = float(sum(x**alpha for x in lengths))
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise UndefinedDimensionError(
+            f"power-weighted sum overflows float64 at alpha={alpha:g}; dimension undefined")
+    return total
 
 
 def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate:
@@ -479,10 +488,8 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate
 
 
 def _t_grid_and_window(t_grid, window):
-    """Checked t grid (default 1..300) and window; no window reads (40, 80) on 80+ entries."""
-    if t_grid is None:
-        t_grid = [float(t) for t in range(1, 301)]
-    t_grid = scale_grid(t_grid, "t")
+    """Checked t grid (default T_GRID) and window; no window reads (40, 80) on 80+ entries."""
+    t_grid = scale_grid(T_GRID if t_grid is None else t_grid, "t")
     if window is None and len(t_grid) >= 80:
         window = (40, 80)
     return t_grid, _window_bounds(window, len(t_grid))

@@ -244,7 +244,8 @@ def alpha_complex_2d(cloud: PointCloud) -> FilteredComplex:
     try:
         tri = Delaunay(pts)
     except QhullError as exc:
-        raise DegenerateInputError(f"Delaunay triangulation failed: {exc}") from exc
+        reason = str(exc).strip().partition("\n")[0]  # the first of Qhull's many lines
+        raise DegenerateInputError(f"Delaunay triangulation failed: {reason}") from exc
     if tri.coplanar.size:
         raise DegenerateInputError("Delaunay triangulation dropped input points")
 

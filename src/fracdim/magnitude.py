@@ -220,23 +220,21 @@ def persistent_magnitude_curve(barcodes, t_grid) -> list:
     """Persistent magnitude of the barcodes of tX for each t in the grid.
 
     The signed sum of (-1)^degree (e^-tb - e^-td) over every interval
-    [b, d), with no death term for an infinite bar. Endpoints are read into
-    arrays once. Per t, math.exp maps the products t b and t d, and
-    add.accumulate adds the terms in barcode order to a leading 0.0, as a
-    loop from total = 0.0 does (np.sum would add pairwise).
+    [b, d). Per t, math.exp maps t x once for each distinct endpoint x (an
+    infinite death gives e^-inf = 0.0), and add.accumulate adds the terms
+    in barcode order to a leading 0.0, as a loop from total = 0.0 does
+    (np.sum would add pairwise).
     """
     t_grid = scale_grid(t_grid, "t")
-    bars = [(bc.degree % 2, iv.birth, iv.death) for bc in barcodes for iv in bc.intervals]
-    odd, births, deaths = np.array(bars, dtype=float).reshape(-1, 3).T
-    signs = 1.0 - 2.0 * odd
-    finite = np.isfinite(deaths)
-    deaths = deaths[finite]
-    death_terms = np.zeros(births.size)
+    bars = [((-1) ** bc.degree, iv.birth, iv.death) for bc in barcodes for iv in bc.intervals]
+    signs, births, deaths = np.array(bars, dtype=float).reshape(-1, 3).T
+    ends, at = np.unique(np.concatenate((births, deaths)), return_inverse=True)
+    born, died = at.reshape(2, -1)
     terms = np.zeros(births.size + 1)
     curve = []
     for t in t_grid:
-        death_terms[finite] = _exp_neg(deaths * t)
-        np.multiply(signs, _exp_neg(births * t) - death_terms, out=terms[1:])
+        exps = _exp_neg(ends * t)
+        np.multiply(signs, exps[born] - exps[died], out=terms[1:])
         curve.append(float(np.add.accumulate(terms)[-1]))
     return curve
 

@@ -29,7 +29,7 @@ class Interval:
     def __post_init__(self):
         if not math.isfinite(self.birth) or self.birth < 0:
             raise ValueError("birth must be finite and non-negative")
-        if self.death < self.birth:
+        if not self.death >= self.birth:  # NaN included
             raise ValueError("death before birth")
 
     @property

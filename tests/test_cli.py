@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fracdim import (
     ParseError,
+    PHDimensionConfig,
     PointCloud,
     SierpinskiTreeParams,
     WeightedNetwork,
@@ -22,7 +25,7 @@ from fracdim import (
     sierpinski_triangle,
     subsample,
 )
-from fracdim import cli
+from fracdim import cli, estimators
 from fracdim.cli import ESTIMATORS, main, run_bench
 from fracdim.io import load_network, load_pointcloud, save_network, save_pointcloud
 
@@ -280,6 +283,27 @@ class TestEstimate:
         )
         assert code == 3
         assert "beta=" in err
+
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_overflowing_power_sum_exit3(self, tmp_path, capsys, degree):
+        path = tmp_path / "wide.csv"
+        save_pointcloud(PointCloud(np.random.default_rng(1).random((300, 2)) * 1000.0), path)
+        argv = ["estimate", "ph-dim", "--input", str(path), "--alpha", "200", "--n-max", "50"]
+        code, out, err = run_cli([*argv, "--degree", degree], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: power-weighted sum overflows float64 at alpha=200; dimension undefined\n"
+
+    def test_explicit_fit_tail_is_checked_as_given(self, tmp_path, capsys):
+        path = tmp_path / "s5.csv"
+        save_pointcloud(sierpinski_triangle(5), path)
+        argv = ["estimate", "ph-dim", "--input", str(path), "--n-max", "50"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(out)["params"]["fit_tail"] == 10  # the default, fitted to 10 sizes
+        for tail in ("36", "11", "1"):
+            code, out, err = run_cli([*argv, "--fit-tail", tail], capsys)
+            assert (code, out) == (2, "")
+            assert err == "error: fit_tail must lie in [2, len(n_schedule)]\n"
 
     def test_singular_similarity_exit4(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -552,6 +576,19 @@ def test_estimator_help_lists_exactly_its_families_flags(capsys, name):
     assert listed == {"--help", "--input", "--out", *own}
 
 
+def test_flag_defaults_are_the_libraries():
+    parser = cli._build_parser()
+    ph = parser.parse_args(["estimate", "ph-dim", "--input", ""])
+    assert cli._ph_config(ph) == PHDimensionConfig()
+    t = parser.parse_args(["estimate", "magnitude-dim", "--input", ""])
+    assert cli._t_grid(t) == estimators._t_grid_and_window(None, None)[0]
+    assert cli._t_grid(t) == [float(k) for k in range(1, 301)]
+    eps = parser.parse_args(["estimate", "box", "--input", "", "--eps-min", "1", "--eps-max", "2"])
+    assert len(cli._eps_grid(eps, True)) == len(estimators._geometric_grid(2.0, 1.0)) == 12
+    tree = parser.parse_args(["generate", "sierpinski-tree", "--levels", "0"])
+    assert SierpinskiTreeParams(s=tree.s, f=tree.f) == SierpinskiTreeParams()
+
+
 def test_readme_cli_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
@@ -668,6 +705,88 @@ def test_every_table_entry_runs_on_each_accepted_kind(tmp_path, capsys, estimato
     assert code == 0, err
     expected = "network-box" if (estimator, kind) == ("box", "network") else estimator
     assert json.loads(out)["estimator"] == expected
+
+
+# CLI fuzz: every ESTIMATORS and _GENERATORS row with its own flags set to
+# hostile values, on small hostile input files
+# int flags draw the integers and one non-number; the rest draw everything
+FUZZ_INTS = ["0", "-1", "1", "2", "3", "1" + "0" * 300, "x"]
+FUZZ_VALUES = [*FUZZ_INTS, "-2.5", "1e-300", "1e300", "inf", "-inf", "nan", ""]
+FUZZ_INPUTS = {
+    "huge": "0,0\n1e300,0\n0,1e300\n3e299,7e299\n",
+    "large": "0,0\n1e153,0\n0,1e153\n3e152,7e152\n5e152,5e152\n",
+    "tiny": "0,0\n1e-300,0\n0,1e-300\n3e-301,7e-301\n5e-324,0\n",
+    "lattice": "".join(f"{x},{y}\n" for x in range(5) for y in range(5)),
+    "one-point": "0.5,0.5\n",
+    "duplicates": "0,0\n0,0\n1,1\n1,1\n0,0\n",
+    "1-d": "0\n0.25\n1\n3\n3.5\n7\n8\n",
+    "3-d": "0,0,0\n1,0,0\n0,1,0\n0,0,1\n1,1,1\n0.5,0.2,0.9\n",
+    "collinear": "0,0\n1,1\n2,2\n3,3\n5,5\n8,8\n",
+    "cycle": "0 1 1\n1 2 1\n2 3 1\n3 4 1\n4 5 1\n5 0 1\n",
+    "tree": "".join(f"{k} {(k - 1) // 3} {0.5 ** (k // 4)}\n" for k in range(1, 13)),
+    "two-nodes": "0 1 2.5\n",
+    "disconnected": "0 1 1\n2 3 1\n3 4 2\n",
+    "empty": "",
+    "malformed-cloud": "0,0\n1,x\n",
+    "malformed-network": "0 1 1\n1 2\n",
+}
+# the wide square is only read by a pinned example: a full default ph-dim schedule fits in it
+ALL_FUZZ_INPUTS = {**FUZZ_INPUTS, "wide-square": "".join(
+    f"{x!r},{y!r}\n" for x, y in (np.random.default_rng(1).random((300, 2)) * 1000).tolist()
+)}
+
+
+def _row_flags(families):
+    """(flag, required, values) of each option in the named flag families."""
+    family = cli._flag_families()
+    return [
+        (action.option_strings[0], action.required,
+         FUZZ_INTS if action.type is int else FUZZ_VALUES)
+        for name in families
+        for action in family[name]._actions
+    ]
+
+
+FUZZ_ROWS = [("estimate", name, _row_flags(row[2])) for name, row in ESTIMATORS.items()] + [
+    ("generate", kind, _row_flags(row[0])) for kind, row in cli._GENERATORS.items()
+]
+
+
+@st.composite
+def fuzz_argv(draw):
+    """argv of one row: required flags always, others maybe; --input and --out filled in later."""
+    command, name, flags = draw(st.sampled_from(FUZZ_ROWS))
+    argv = [command, name]
+    for flag, required, values in flags:
+        if required or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(argv=["estimate", "ph-dim", "--alpha", "200", "--n-max", "50"],
+         input_name="wide-square", out="file")
+@example(argv=["estimate", "alpha-magnitude-dim"], input_name="large", out=None)  # long Qhull report
+@given(argv=fuzz_argv(), input_name=st.sampled_from(sorted(FUZZ_INPUTS)),
+       out=st.sampled_from([None, "file", "directory"]))
+def test_fuzzed_rows_exit_with_a_contract_code(tmp_path, argv, input_name, out):
+    path = tmp_path / "input"
+    path.write_text(ALL_FUZZ_INPUTS[input_name], encoding="ascii")
+    if argv[0] == "estimate":
+        argv = [*argv, "--input", str(path)]
+    if out is not None:
+        argv = [*argv, "--out", str(tmp_path / "out" if out == "file" else tmp_path)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            assert exc.code == 2
+            return
+    assert code in (0, 2, 3, 4, 5)
+    if code != 0:
+        assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
 
 
 class TestBench:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdim import (
+    Barcode,
     DegenerateInputError,
+    Interval,
     MetricView,
     PHDimensionConfig,
     PointCloud,
@@ -336,6 +338,21 @@ class TestPHDimension:
         assert sum(k for k, _, _ in shapes) == cfg.repeats * len(schedule)
         assert all(k == 1 or k * n * n <= cells for k, n, _ in shapes)
         assert len(shapes) > len(schedule) if cells == 300 else len(shapes) == len(schedule)
+
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_overflowing_power_sum_undefined(self, degree):
+        # 1000-wide samples: x**200 passes float64 and raises OverflowError
+        cloud = PointCloud(np.random.default_rng(1).random((300, 2)) * 1000.0)
+        cfg = PHDimensionConfig(degree=degree, alpha=200.0, n_schedule=range(5, 51, 5), fit_tail=10)
+        with pytest.raises(UndefinedDimensionError, match=r"overflows float64 at alpha=200;"):
+            ph_dimension(cloud, cfg)
+
+    def test_power_sum_reaching_inf_undefined(self):
+        # each term is finite; their sum is not
+        barcode = Barcode(0, (Interval(0.0, 1e308), Interval(0.0, 1e308), Interval(0.0, math.inf)))
+        assert power_weighted_sum(Barcode(0, barcode.intervals[1:]), 1.0) == 1e308
+        with pytest.raises(UndefinedDimensionError, match=r"at alpha=1;"):
+            power_weighted_sum(barcode, 1.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

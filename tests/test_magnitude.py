@@ -418,6 +418,38 @@ class TestPersistentMagnitudeCurve:
         oracle = naive_persistent_magnitude(bcs, 1e6)
         assert math.copysign(1.0, oracle) == 1.0
 
+    # repeated endpoints, births equal to other bars' deaths (0.5, 2.0), infinite
+    # bars in even and odd degrees, and deaths whose t d overflows to inf
+    SHARED_ENDPOINTS = [
+        Barcode(0, (Interval(0.0, math.inf), Interval(0.0, 0.5), Interval(0.0, 0.5),
+                    Interval(0.5, 2.0), Interval(2.0, 1e300))),
+        Barcode(1, (Interval(0.5, math.inf), Interval(0.5, 2.0), Interval(2.0, 2.0),
+                    Interval(1e300, math.inf), Interval(1e-300, 0.5))),
+        Barcode(2, (Interval(2.0, math.inf), Interval(0.0, 0.5))),
+        Barcode(3, (Interval(0.5, 1e308), Interval(1e308, math.inf))),
+    ]
+
+    # t d past float64 is inf, and e^-inf the 0.0 of an unborn or dead bar
+    overflow_ok = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+
+    @overflow_ok
+    @pytest.mark.parametrize("grid", [[1e-3, 0.5, 1.0, 2.0, 3.0], [1e6, 1e10], [1e300]])
+    def test_shared_and_infinite_endpoints_equal_per_interval_loop(self, grid):
+        bcs = self.SHARED_ENDPOINTS
+        assert persistent_magnitude_curve(bcs, grid) == [
+            naive_persistent_magnitude(bcs, t) for t in grid
+        ]
+
+    @overflow_ok
+    def test_one_exp_pass_per_t_over_distinct_endpoints(self, monkeypatch):
+        sizes = []
+        exp_neg = magnitude_module._exp_neg
+        monkeypatch.setattr(magnitude_module, "_exp_neg", lambda x: sizes.append(x.size) or exp_neg(x))
+        bcs = self.SHARED_ENDPOINTS
+        persistent_magnitude_curve(bcs, [0.5, 1.0, 2.0])
+        distinct = {x for bc in bcs for iv in bc.intervals for x in (iv.birth, iv.death)}
+        assert sizes == [len(distinct)] * 3
+
     def test_grid_validated(self):
         for grid in ([0.0], [-1.0], [math.nan], [2.0, 1.0]):
             with pytest.raises(ValueError, match="t grid"):

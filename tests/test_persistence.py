@@ -281,6 +281,12 @@ class TestBarcodeType:
         with pytest.raises(ValueError):
             Interval(math.inf, math.inf)
 
+    def test_nan_death_rejected(self):
+        # a NaN death would read as neither finite nor a bar of any length
+        with pytest.raises(ValueError, match="death before birth"):
+            Interval(0.0, math.nan)
+        assert not Interval(0.0, math.inf).finite
+
     def test_intervals_sorted(self):
         b = Barcode(0, (Interval(0.5, 1.0), Interval(0.0, math.inf), Interval(0.0, 2.0)))
         assert [iv.birth for iv in b.intervals] == [0.0, 0.0, 0.5]
