@@ -200,11 +200,18 @@ def vietoris_rips(
         if dim:
             faces[:, dim] = parent
         keys = parent * n + u if dim < max_dim else None  # ascending generation keys
+        # (row parent below, u) sorts as (lex rank of that row, u): vertex order, then a
+        # stable sort by value; a row's place in vertex order is its lex rank for the layer above
+        lex = np.argsort(rank[parent] * n + u if dim else u)
         del parent
-        order = np.lexsort((*verts.T[::-1], vals))
+        rank = np.argsort(vals[lex], kind="stable")
+        order = lex[rank]
+        del lex
         if dim < max_dim:  # sorted row of each generated simplex
             inverse = np.empty_like(order)
             inverse[order] = np.arange(count)
+        else:
+            del rank  # read by the layer above only
         for array in (verts, vals, faces):  # one sorted copy alive at a time
             array[:] = array[order]
         layers.append((verts, vals, faces))

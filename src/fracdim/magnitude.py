@@ -7,9 +7,11 @@ weighted interval count (-1)^i (e^-a - e^-b).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import mmap
 import os
 import threading
 from dataclasses import dataclass
@@ -100,13 +102,17 @@ def _solve_curve(dist: np.ndarray, t_grid) -> list:
     """(magnitude, residual) of tX for each t; dist must be finite.
 
     A curve holds one Fortran-order n x n buffer, and a scratch of about
-    ROWS rows, beside the metric whatever its length. Per t, zeta =
-    exp(-t d) is written block by block into the buffer's C-order view and
-    LAPACK's Cholesky overwrites the buffer; each zeta @ w rebuilds zeta's
-    blocks from the metric in the scratch. Cholesky is exact for
-    Euclidean-embeddable metrics; where it fails, zeta is rebuilt whole in
-    the buffer for a general symmetric solve. One iterative-refinement step
-    either way. Every value has the bits of a solve on a whole C-order zeta.
+    ROWS rows, beside the metric whatever its length. The buffer is an
+    anonymous mapping, resident only in the pages written (tracemalloc does
+    not see it). Per t, zeta = exp(-t d) is written block by block into the
+    buffer's C-order view, as the Fortran upper triangle and the diagonal
+    blocks only: LAPACK's upper Cholesky reads and overwrites nothing else,
+    so the pages below the diagonal blocks stay untouched. Each zeta @ w
+    rebuilds zeta's blocks from the metric in the scratch. Cholesky is
+    exact for Euclidean-embeddable metrics; where it fails, zeta is
+    rebuilt whole in the buffer, which is then all resident, for a general
+    symmetric solve. One iterative-refinement step either way. Every value
+    has the bits of a solve on a whole C-order zeta.
 
     The t loop runs with every loaded OpenBLAS at one thread (numpy's for
     zeta @ w, scipy's for the factorisation and the solves), so values do
@@ -123,13 +129,28 @@ def _solve_curve(dist: np.ndarray, t_grid) -> list:
     starts = list(range(0, max(n - 1, 1), ROWS))
     blocks = list(zip(starts, starts[1:] + [n]))
     ones = np.ones(n)
-    factor = np.empty((n, n), order="F")
+    factor = np.ndarray((n, n), order="F", buffer=_anonymous_mapping(8 * n * n))
     scratch = np.empty((max(hi - lo for lo, hi in blocks), n))
     results = []
     with _ONE_BLAS_THREAD:
         for t in t_grid:
             results.append(_solve_in_buffers(dist, t, blocks, factor, scratch, ones))
     return results
+
+
+def _anonymous_mapping(size: int) -> mmap.mmap:
+    """size zeroed bytes, resident only in the pages written; MemoryError if refused.
+
+    numpy asks for huge pages for large arrays, resident 2 MB at a time.
+    """
+    try:
+        buffer = mmap.mmap(-1, size)
+    except OSError as exc:
+        raise MemoryError(f"cannot map {size} bytes ({exc})") from exc
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel without huge pages refuses the advice
+            buffer.madvise(mmap.MADV_NOHUGEPAGE)
+    return buffer
 
 
 def _zeta_into(dist_rows, t, out):
@@ -149,15 +170,15 @@ def _zeta_times(dist, t, blocks, scratch, w):
 def _solve_in_buffers(dist, t, blocks, factor, scratch, ones):
     """Solve zeta w = 1 at scale t in the buffers; returns (sum(w), residual)."""
     zeta = factor.T  # C-order view of the Fortran-order buffer
-    for lo, hi in blocks:
-        _zeta_into(dist[lo:hi], t, zeta[lo:hi])
+    for lo, hi in blocks:  # row i of the view is column i of the Fortran upper triangle
+        _zeta_into(dist[lo:hi, :hi], t, zeta[lo:hi, :hi])
     factor, info = lapack.dpotrf(factor, lower=0, overwrite_a=1, clean=0)
     if info == 0:
         times = functools.partial(_zeta_times, dist, t, blocks, scratch)
         w = lapack.dpotrs(factor, ones)[0]
         w = w + lapack.dpotrs(factor, ones - times(w))[0]
     else:
-        _zeta_into(dist, t, zeta)  # dpotrf overwrote one triangle
+        _zeta_into(dist, t, zeta)  # dpotrf overwrote one triangle; the other was never written
         times = zeta.__matmul__
         try:
             w = scipy.linalg.solve(zeta, ones, assume_a="sym")

@@ -307,8 +307,12 @@ def shortest_path_metric(net: WeightedNetwork) -> MetricView:
     if n == 0:
         return MetricView(np.zeros((0, 0)))
     d = shortest_path_rows(net, range(n))
-    # float summation order can differ between the i->j and j->i runs
-    d = np.minimum(d, d.T)
+    # float summation order can differ between the i->j and j->i runs; min(d, d.T)
+    # in place, ROW_BLOCK rows of the upper triangle and their mirror at a time
+    for lo in range(0, n, ROW_BLOCK):
+        hi = lo + ROW_BLOCK
+        least = np.minimum(d[lo:hi, lo:], d[lo:, lo:hi].T)
+        d[lo:hi, lo:], d[lo:, lo:hi] = least, least.T
     np.fill_diagonal(d, 0.0)
     return MetricView(d)
 

@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
+import mmap
 import os
 import re
 import shlex
@@ -317,6 +319,18 @@ class TestEstimate:
         )
         assert code == 4
         assert "singular" in err
+
+    def test_failed_similarity_buffer_mapping_exit5(self, tmp_path, capsys, monkeypatch):
+        def refusing_mmap(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refusing_mmap)
+        path = tmp_path / "sub.csv"
+        save_pointcloud(subsample(sierpinski_triangle(5), 40, 1), path)
+        code, out, err = run_cli(["estimate", "magnitude-dim", "--input", str(path)], capsys)
+        assert (code, out) == (5, "")
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_resource_cap_exit5(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FRACDIM_MAX_SIMPLICES", "50")

@@ -1,6 +1,8 @@
 import ctypes
+import errno
 import importlib
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -205,16 +207,56 @@ class TestMagnitudeFunction:
         expected = magnitudes_at_one_blas_thread(symmetric_solve_magnitude, dist, grid)
         assert samples.values == tuple(expected)
 
-    def test_curve_holds_one_n_by_n_buffer_beside_the_metric(self):
+    def test_curve_holds_one_n_by_n_buffer_beside_the_metric(self, monkeypatch):
         metric = euclidean_metric(subsample(sierpinski_triangle(7), 500, 11))
         n = metric.size
+        mapped = []
+        real_mmap = mmap.mmap
+
+        def recording_mmap(fileno, length, *args, **kwargs):
+            mapped.append(length)
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
         tracemalloc.start()
         try:
             magnitude_function(metric, [1.0, 2.0, 3.0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
+        # the buffer is the one mapping, which tracemalloc does not see; no traced
+        # allocation comes near n x n
+        assert mapped == [n * n * 8]
+        assert peak < 0.5 * n * n * 8
+
+    # one block with its one-row tail joined, then three and four blocks
+    @pytest.mark.parametrize("n", [33, 70, 100])
+    def test_cholesky_leaves_the_buffer_below_the_diagonal_blocks_unwritten(self, n):
+        dist = euclidean_metric(subsample(sierpinski_triangle(7), n, 11)).dist
+        t = 2.0
+        starts = list(range(0, max(n - 1, 1), magnitude_module.ROWS))
+        blocks = list(zip(starts, starts[1:] + [n]))
+        scratch = np.empty((max(hi - lo for lo, hi in blocks), n))
+        ones = np.ones(n)
+        untouched = np.full((n, n), np.nan, order="F")
+        whole = np.empty((n, n), order="F")
+        magnitude_module._zeta_into(dist, t, whole.T)  # the full zeta in the C-order view
+        with magnitude_module._ONE_BLAS_THREAD:
+            got = magnitude_module._solve_in_buffers(dist, t, blocks, untouched, scratch, ones)
+            expected = magnitude_module._solve_in_buffers(dist, t, blocks, whole, scratch, ones)
+        assert got == expected and got[1] <= magnitude_module.RESIDUAL_TOL
+        for lo, hi in blocks:  # Fortran columns lo:hi hold the factor in rows :hi only
+            assert np.isnan(untouched[hi:, lo:hi]).all()
+            assert not np.isnan(untouched[:hi, lo:hi]).any()
+
+    def test_failed_mapping_raises_memory_error(self, monkeypatch):
+        def refusing_mmap(*args, **kwargs):
+            raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+        monkeypatch.setattr(mmap, "mmap", refusing_mmap)
+        metric = euclidean_metric(subsample(sierpinski_triangle(7), 20, 11))
+        with pytest.raises(MemoryError):
+            magnitude_function(metric, [1.0])
 
     def test_failed_cholesky_falls_back_then_buffers_are_reused(self, monkeypatch):
         dist = k32_metric()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,29 @@ class TestShortestPathMetric:
     def test_triangle_inequality_on_tree(self):
         net = sierpinski_tree(SierpinskiTreeParams(3, 0.5, 4))
         assert triangle_violations(shortest_path_metric(net).dist, tol=0.0) == []
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_blocked_minimum_equals_whole_minimum(self, seed, monkeypatch):
+        # blocks of 7 rows, so that every network of 8 nodes or more spans several
+        monkeypatch.setattr(spaces, "ROW_BLOCK", 7)
+        net = random_network(seed) if seed % 2 else random_connected_network(seed)
+        d = dijkstra(net.graph, directed=True)
+        expected = np.minimum(d, d.T)
+        np.fill_diagonal(expected, 0.0)
+        assert shortest_path_metric(net).dist.tobytes() == expected.tobytes()
+
+    def test_symmetrised_in_place_without_a_second_n_by_n_array(self):
+        n = 3000
+        net = WeightedNetwork(n, tuple((i, i + 1, 1.0) for i in range(n - 1)))
+        net.graph  # built before tracing: the edges, not the metric
+        tracemalloc.start()
+        try:
+            metric = shortest_path_metric(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metric.dist[0, n - 1] == n - 1
+        assert peak < 1.25 * n * n * 8
 
 
 def random_connected_network(seed):
