@@ -507,6 +507,9 @@ def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> Dimensi
             default=math.inf,
         )
         raise SingularSimilarityError(bad[0], worst)
+    for t, value in zip(samples.t_grid, samples.values):  # every sample is a log-log point
+        if value <= 0.0:  # a real magnitude, e.g. beside a pole of t -> Mag(tX)
+            raise UndefinedDimensionError(f"magnitude {value:.6g} at t={t:g} is not positive")
     params = {"t_grid": t_grid, "window": window, "n_points": metric.size}
     return _estimate("magnitude-dim", t_grid, samples.values, params)
 

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg import lapack
 
 from .errors import SingularSimilarityError
@@ -106,13 +105,13 @@ def _solve_curve(dist: np.ndarray, t_grid) -> list:
     anonymous mapping, resident only in the pages written (tracemalloc does
     not see it). Per t, zeta = exp(-t d) is written block by block into the
     buffer's C-order view, as the Fortran upper triangle and the diagonal
-    blocks only: LAPACK's upper Cholesky reads and overwrites nothing else,
-    so the pages below the diagonal blocks stay untouched. Each zeta @ w
-    rebuilds zeta's blocks from the metric in the scratch. Cholesky is
-    exact for Euclidean-embeddable metrics; where it fails, zeta is
-    rebuilt whole in the buffer, which is then all resident, for a general
-    symmetric solve. One iterative-refinement step either way. Every value
-    has the bits of a solve on a whole C-order zeta.
+    blocks only: LAPACK's upper Cholesky and Bunch-Kaufman factorisations
+    read and overwrite nothing else, so the pages below the diagonal blocks
+    stay untouched. Each zeta @ w rebuilds zeta's blocks from the metric in
+    the scratch. Cholesky is exact for Euclidean-embeddable metrics; where
+    it fails (a shortest-path metric is often not of negative type), the
+    same blocks are written again for Bunch-Kaufman. One iterative-refinement
+    step either way. Every value has the bits of a solve on a whole C-order zeta.
 
     The t loop runs with every loaded OpenBLAS at one thread (numpy's for
     zeta @ w, scipy's for the factorisation and the solves), so values do
@@ -168,26 +167,27 @@ def _zeta_times(dist, t, blocks, scratch, w):
 
 
 def _solve_in_buffers(dist, t, blocks, factor, scratch, ones):
-    """Solve zeta w = 1 at scale t in the buffers; returns (sum(w), residual)."""
+    """Solve zeta w = 1 at scale t in the buffers; returns (sum(w), residual).
+
+    Where Cholesky fails, zeta is written again (dpotrf overwrote part of
+    it) and factored in place by Bunch-Kaufman, at dsytrf's blocked lwork.
+    """
     zeta = factor.T  # C-order view of the Fortran-order buffer
     for lo, hi in blocks:  # row i of the view is column i of the Fortran upper triangle
         _zeta_into(dist[lo:hi, :hi], t, zeta[lo:hi, :hi])
     factor, info = lapack.dpotrf(factor, lower=0, overwrite_a=1, clean=0)
-    if info == 0:
-        times = functools.partial(_zeta_times, dist, t, blocks, scratch)
-        w = lapack.dpotrs(factor, ones)[0]
-        w = w + lapack.dpotrs(factor, ones - times(w))[0]
-    else:
-        _zeta_into(dist, t, zeta)  # dpotrf overwrote one triangle; the other was never written
-        times = zeta.__matmul__
-        try:
-            w = scipy.linalg.solve(zeta, ones, assume_a="sym")
-            w = w + scipy.linalg.solve(zeta, ones - zeta @ w, assume_a="sym")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-            return math.nan, math.inf
-    if not np.all(np.isfinite(w)):
+    solve = functools.partial(lapack.dpotrs, factor)
+    if info:
+        for lo, hi in blocks:
+            _zeta_into(dist[lo:hi, :hi], t, zeta[lo:hi, :hi])
+        lwork = int(lapack.dsytrf_lwork(len(dist), lower=0)[0])
+        factor, pivots, _ = lapack.dsytrf(factor, lower=0, lwork=lwork, overwrite_a=1)
+        solve = functools.partial(lapack.dsytrs, factor, pivots)
+    w = solve(ones)[0]
+    w = w + solve(ones - _zeta_times(dist, t, blocks, scratch, w))[0]
+    if not np.all(np.isfinite(w)):  # a singular zeta: dsytrs divides by a zero pivot
         return math.nan, math.inf
-    residual = float(np.max(np.abs(times(w) - ones)))
+    residual = float(np.max(np.abs(_zeta_times(dist, t, blocks, scratch, w) - ones)))
     return float(w.sum()), residual
 
 

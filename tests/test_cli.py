@@ -320,6 +320,18 @@ class TestEstimate:
         assert code == 4
         assert "singular" in err
 
+    def test_non_positive_magnitude_exit3(self, tmp_path, capsys):
+        # K_{3,2}: zeta is indefinite at t = 0.1..0.3 and Mag(0.34 X) < 0
+        path = tmp_path / "k32.edges"
+        path.write_text("".join(f"{u} {v} 1\n" for u in range(3) for v in (3, 4)))
+        argv = ["estimate", "magnitude-dim", "--input", str(path), "--t-min"]
+        code, out, err = run_cli([*argv, "0.3", "--t-max", "0.38", "--t-step", "0.04"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: magnitude -0.777262 at t=0.34 is not positive\n"
+        code, out, err = run_cli([*argv, "0.1", "--t-max", "0.3", "--t-step", "0.1"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["estimator"] == "magnitude-dim"
+
     def test_failed_similarity_buffer_mapping_exit5(self, tmp_path, capsys, monkeypatch):
         def refusing_mmap(*args, **kwargs):
             raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))

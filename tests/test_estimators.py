@@ -705,6 +705,16 @@ class TestMagnitudeDimension:
         b = magnitude_dimension(euclidean_metric(moved), grid)
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
+    def test_non_positive_magnitude_is_undefined_not_a_fit_error(self):
+        # K_{3,2} has a pole of t -> Mag(tX) at t = ln 2 / 2; beside it the
+        # magnitude is a real negative number, solved to full accuracy
+        k32 = WeightedNetwork(5, tuple((u, v, 1.0) for u in range(3) for v in (3, 4)))
+        metric = shortest_path_metric(k32)
+        with pytest.raises(UndefinedDimensionError) as err:
+            magnitude_dimension(metric, [0.3, 0.34, 0.38])
+        assert str(err.value) == "magnitude -0.777262 at t=0.34 is not positive"
+        assert magnitude_dimension(metric, [0.1, 0.2, 0.3]).value > 0
+
 
 @pytest.mark.parametrize("window", [(3, 4), (4, 4), (-1, 3), (8, 11)])
 def test_magnitude_estimators_reject_window_before_any_work(window):

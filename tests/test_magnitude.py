@@ -11,7 +11,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,13 +49,21 @@ def two_point_metric(d):
     return MetricView(np.array([[0.0, d], [d, 0.0]]))
 
 
-def k32_metric():
-    """K_{3,2}: distance 1 across the parts, 2 within them; zeta is
-    indefinite at t = 0.1, 0.2, 0.3 and positive definite at t = 0.5, 1."""
-    part = np.array([0, 0, 0, 1, 1])
+def bipartite_metric(a, b):
+    """K_{a,b}: distance 1 across the parts, 2 within them."""
+    part = np.repeat([0, 1], [a, b])
     dist = np.where(part[:, None] == part[None, :], 2.0, 1.0)
     np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def k32_metric():
+    """K_{3,2}; zeta is indefinite at t = 0.1, 0.2, 0.3 and positive definite at t = 0.5, 1."""
+    return bipartite_metric(3, 2)
+
+
+def indefinite(dist, t):
+    return np.linalg.eigvalsh(np.exp(-dist * t)).min() < 0
 
 
 def openblas_libraries():
@@ -199,9 +206,13 @@ class TestMagnitudeFunction:
         expected = magnitudes_at_one_blas_thread(cholesky_magnitude, metric.dist, grid)
         assert samples.values == tuple(expected)
 
-    def test_fallback_values_equal_symmetric_solve_oracle_bit_for_bit(self):
-        dist = k32_metric()
-        grid = [0.1, 0.2, 0.3]  # zeta is indefinite at each
+    # K_{3,2} runs dsytrf's unblocked code only; K_{120,90} is above its block
+    # size, so its bits hold only where dsytrf is given the blocked workspace
+    @pytest.mark.parametrize("a, b", [(3, 2), (120, 90)], ids=["K3,2", "K120,90"])
+    def test_fallback_values_equal_symmetric_solve_oracle_bit_for_bit(self, a, b):
+        dist = bipartite_metric(a, b)
+        grid = [0.01, 0.05, 0.1]
+        assert all(indefinite(dist, t) for t in grid)
         samples = magnitude_function(MetricView(dist), grid)
         assert all(samples.accepted())
         expected = magnitudes_at_one_blas_thread(symmetric_solve_magnitude, dist, grid)
@@ -229,11 +240,16 @@ class TestMagnitudeFunction:
         assert mapped == [n * n * 8]
         assert peak < 0.5 * n * n * 8
 
-    # one block with its one-row tail joined, then three and four blocks
-    @pytest.mark.parametrize("n", [33, 70, 100])
+    # one block with its one-row tail joined, then three and four blocks; K_{120,90}
+    # is indefinite, so its zeta is written again and factored by Bunch-Kaufman
+    @pytest.mark.parametrize("n", [33, 70, 100, "K120,90"])
     def test_cholesky_leaves_the_buffer_below_the_diagonal_blocks_unwritten(self, n):
-        dist = euclidean_metric(subsample(sierpinski_triangle(7), n, 11)).dist
-        t = 2.0
+        if n == "K120,90":
+            dist, t = bipartite_metric(120, 90), 0.05
+            assert indefinite(dist, t)
+        else:
+            dist, t = euclidean_metric(subsample(sierpinski_triangle(7), n, 11)).dist, 2.0
+        n = len(dist)
         starts = list(range(0, max(n - 1, 1), magnitude_module.ROWS))
         blocks = list(zip(starts, starts[1:] + [n]))
         scratch = np.empty((max(hi - lo for lo, hi in blocks), n))
@@ -263,16 +279,16 @@ class TestMagnitudeFunction:
         grid = [0.1, 0.2, 0.3, 0.5, 1.0]
         smallest = [np.linalg.eigvalsh(np.exp(-dist * t)).min() for t in grid]
         assert [e > 0 for e in smallest] == [False, False, False, True, True]
-        solve = scipy.linalg.solve
+        dsytrf = magnitude_module.lapack.dsytrf
         fallbacks = []
 
-        def counting_solve(*args, **kwargs):
+        def counting_dsytrf(*args, **kwargs):
             fallbacks.append(args[0].shape)
-            return solve(*args, **kwargs)
+            return dsytrf(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve", counting_solve)
+        monkeypatch.setattr(magnitude_module.lapack, "dsytrf", counting_dsytrf)
         samples = magnitude_function(MetricView(dist), grid)
-        assert len(fallbacks) == 2 * 3  # a solve and a refinement per indefinite entry
+        assert len(fallbacks) == 3  # one Bunch-Kaufman factorisation per indefinite entry
         assert all(samples.accepted())
         for t, value in zip(grid, samples.values):
             assert value == pytest.approx(naive_magnitude(dist * t), abs=1e-10)
