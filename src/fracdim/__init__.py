@@ -8,6 +8,7 @@ persistent-magnitude dimensions) next to classical baselines
 from .errors import (
     DegenerateInputError,
     FracdimError,
+    InvalidEntryError,
     ParseError,
     ResourceLimitError,
     SingularSimilarityError,

@@ -155,18 +155,6 @@ def _cmd_generate(args):
 # estimate
 
 
-def _sniff_kind(path):
-    with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if "," in line:
-                return "cloud"
-            return "network" if len(line.split()) == 3 else "cloud"
-    return "cloud"
-
-
 # Argument helpers and runners for the one table of estimators. Each
 # runner looks its estimator up on the `estimators` module at call time,
 # so a wrapper installed there sees the call.
@@ -300,7 +288,7 @@ ESTIMATORS = {
 
 def _cmd_estimate(args):
     kinds, runner, _ = ESTIMATORS[args.estimator]
-    kind = _sniff_kind(args.input)
+    kind = io.sniff_kind(args.input)
     if kind not in kinds:
         raise UsageError(
             f"estimator {args.estimator!r} does not accept {kind} input; "

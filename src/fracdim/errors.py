@@ -17,6 +17,14 @@ class ParseError(FracdimError):
         super().__init__(f"{self.path}:{line_no}: {message}")
 
 
+class InvalidEntryError(ValueError):
+    """A space constructor refused one entry; carries its 0-based row or edge index."""
+
+    def __init__(self, index, message):
+        self.index = index
+        super().__init__(message)
+
+
 class ResourceLimitError(FracdimError):
     """A construction would exceed its configured size cap."""
 

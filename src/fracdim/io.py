@@ -1,18 +1,41 @@
-"""File formats: point CSV and whitespace edge lists.
+"""File formats: point CSV and whitespace edge lists, checked for syntax only.
 
 Point file: one point per line, comma-separated decimal coordinates, no
-header. Network file: one edge per line, "u v w" with non-negative
-integer ids and positive decimal weight; node_count = 1 + max id.
+header. Network file: one edge per line, "u v w" with ids in the digits
+0-9; node_count = 1 + max id. A loader names the line of an entry that
+`PointCloud` or `WeightedNetwork` refuses.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import InvalidEntryError, ParseError
 from .spaces import PointCloud, WeightedNetwork
+
+
+def _entries(path):
+    """(line number, stripped line) of each non-blank line: one point or edge each."""
+    with open(path, "r", encoding="ascii") as fh:
+        yield from filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
+
+
+def _construct(path, space_type, *args):
+    try:
+        return space_type(*args)
+    except InvalidEntryError as exc:  # the refused entry's line is found on this path only
+        line_no, _ = next(islice(_entries(path), exc.index, None), (0, ""))
+        raise ParseError(path, line_no, str(exc)) from None
+
+
+def sniff_kind(path) -> str:
+    """'network' if the first entry is three fields without a comma, else 'cloud'."""
+    for _, line in _entries(path):
+        return "network" if "," not in line and len(line.split()) == 3 else "cloud"
+    raise ParseError(path, 0, "empty input file")
 
 
 def save_pointcloud(cloud: PointCloud, path) -> None:
@@ -27,27 +50,18 @@ def dumps_pointcloud(cloud: PointCloud) -> str:
 
 def load_pointcloud(path) -> PointCloud:
     rows = []
-    width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise ParseError(path, line_no, f"expected {width} coordinates, got {len(fields)}")
-            try:
-                coords = [float(f) for f in fields]
-            except ValueError:
-                raise ParseError(path, line_no, f"invalid coordinate in {line!r}") from None
-            if any(not math.isfinite(c) for c in coords):
-                raise ParseError(path, line_no, "non-finite coordinate")
-            rows.append(coords)
+    for line_no, line in _entries(path):
+        fields = line.split(",")
+        if rows and len(fields) != len(rows[0]):
+            message = f"expected {len(rows[0])} coordinates, got {len(fields)}"
+            raise ParseError(path, line_no, message)
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise ParseError(path, line_no, f"invalid coordinate in {line!r}") from None
     if not rows:
         raise ParseError(path, 0, "empty point file")
-    return PointCloud(np.array(rows))
+    return _construct(path, PointCloud, np.array(rows))
 
 
 def save_network(net: WeightedNetwork, path) -> None:
@@ -63,35 +77,22 @@ def dumps_network(net: WeightedNetwork) -> str:
 def load_network(path) -> WeightedNetwork:
     edges = []
     max_id = -1
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(path, line_no, f"expected 'u v w', got {line!r}")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError(path, line_no, "node ids must be base-10 integers") from None
-            if u < 0 or v < 0:
-                raise ParseError(path, line_no, "node ids must be non-negative")
-            if max(u, v) >= 2**63 - 1:  # node_count = max id + 1 is an int64 too
-                raise ParseError(path, line_no, "node ids must fit in int64")
-            try:
-                w = float(fields[2])
-            except ValueError:
-                raise ParseError(path, line_no, f"invalid weight {fields[2]!r}") from None
-            if math.isnan(w):
-                raise ParseError(path, line_no, "weight is NaN")
-            if not (w > 0 and math.isfinite(w)):
-                raise ParseError(path, line_no, f"weight must be positive, got {w}")
-            if u == v:
-                raise ParseError(path, line_no, f"self-loop at node {u}")
-            edges.append((u, v, w))
-            max_id = max(max_id, u, v)
-    try:
-        return WeightedNetwork(max_id + 1, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+    for line_no, line in _entries(path):
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(path, line_no, f"expected 'u v w', got {line!r}")
+        if not (fields[0].isdigit() and fields[1].isdigit()):
+            raise ParseError(path, line_no, "node ids must be runs of the digits 0-9")
+        try:
+            u, v = int(fields[0]), int(fields[1])
+        except ValueError:  # a run past int()'s digit limit is far past int64 too
+            u = v = 2**63
+        max_id = max(max_id, u, v)
+        if max_id >= 2**63 - 1:  # node_count = max id + 1 is an int64 too
+            raise ParseError(path, line_no, "node ids must fit in int64")
+        try:
+            w = float(fields[2])
+        except ValueError:
+            raise ParseError(path, line_no, f"invalid weight {fields[2]!r}") from None
+        edges.append((u, v, w))
+    return _construct(path, WeightedNetwork, max_id + 1, tuple(edges))

@@ -16,7 +16,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
-from .errors import ResourceLimitError
+from .errors import InvalidEntryError, ResourceLimitError
 
 TRIANGLE_LEVEL_CAP = 12
 CANTOR_LEVEL_CAP = 20
@@ -39,7 +39,8 @@ class PointCloud:
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ValueError("need at least one point with at least one coordinate")
         if not np.all(np.isfinite(pts)):
-            raise ValueError("coordinates must be finite")
+            first_bad_row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise InvalidEntryError(first_bad_row, "coordinates must be finite")
         # bounds every squared distance cdist forms, in O(n * dim)
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(np.ptp(pts, axis=0) ** 2)):
@@ -68,8 +69,8 @@ class PointCloud:
 class WeightedNetwork:
     """Undirected network with positive edge weights.
 
-    Edges are stored as (u, v, w) with u < v, sorted; duplicates and
-    self-loops are rejected.
+    Edges are stored as (u, v, w) with u < v, sorted. The first self-loop, repeat,
+    out-of-range id or bad weight raises InvalidEntryError with its index in `edges`.
     """
 
     node_count: int
@@ -80,17 +81,17 @@ class WeightedNetwork:
             raise ValueError("node_count must be non-negative")
         norm = []
         seen = set()
-        for u, v, w in self.edges:
+        for u, v, w in self.edges:  # len(norm) is the index of edge (u, v, w)
             u, v, w = int(u), int(v), float(w)
             if u == v:
-                raise ValueError(f"self-loop at node {u}")
+                raise InvalidEntryError(len(norm), f"self-loop at node {u}")
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge ({u},{v}) outside node range")
+                raise InvalidEntryError(len(norm), f"edge ({u},{v}) outside node range")
             if not (w > 0 and math.isfinite(w)):
-                raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+                raise InvalidEntryError(len(norm), f"edge ({u},{v}) weight {w} is not in (0, inf)")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise ValueError(f"duplicate edge {key}")
+                raise InvalidEntryError(len(norm), f"duplicate edge {key}")
             seen.add(key)
             norm.append((key[0], key[1], w))
         norm.sort()

@@ -29,7 +29,15 @@ from fracdim import (
 )
 from fracdim import cli, estimators
 from fracdim.cli import ESTIMATORS, main, run_bench
-from fracdim.io import load_network, load_pointcloud, save_network, save_pointcloud
+from fracdim.io import (
+    dumps_network,
+    dumps_pointcloud,
+    load_network,
+    load_pointcloud,
+    save_network,
+    save_pointcloud,
+    sniff_kind,
+)
 
 
 ONE_SAMPLE_WINDOW = [
@@ -212,6 +220,34 @@ class TestEstimate:
         assert out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert message in err and err.strip() != "error:"
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_empty_input_names_itself(self, tmp_path, capsys, estimator, text):
+        path = tmp_path / "in.edges"
+        path.write_text(text)
+        code, out, err = run_cli(["estimate", estimator, "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:0: empty input file\n"
+        assert load_network(path).node_count == 0  # the library still reads no edges
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2 1 0.5", "duplicate edge (1, 2)"),
+            ("1_000 2 1", "node ids must be runs of the digits 0-9"),
+            ("+3 4 1", "node ids must be runs of the digits 0-9"),
+            ("0 -1 1", "node ids must be runs of the digits 0-9"),
+            ("1" * 5000 + " 2 1", "node ids must fit in int64"),
+        ],
+        ids=["duplicate", "underscore", "plus", "minus", "5000-digits"],
+    )
+    def test_edge_refusal_names_its_line(self, tmp_path, capsys, line, message):
+        path = tmp_path / "e.edges"
+        path.write_text(f"0 1 1.0\n\n1 2 1.0\n{line}\n")
+        code, out, err = run_cli(["estimate", "box", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:4: {message}\n"
 
     @pytest.mark.parametrize("estimator", ["box", "internal-scaling"])
     def test_network_distance_overflow_exit2(self, tmp_path, capsys, estimator):
@@ -684,10 +720,44 @@ def test_sniffed_kind_is_the_written_kind_and_the_other_loader_refuses(space, da
                 fh.write("\n" * data.draw(st.integers(0, 2)))
                 fh.write((line.replace(" ", "\t") if data.draw(st.booleans()) else line) + "\n")
             fh.write("\n" * data.draw(st.integers(0, 2)))
-        assert cli._sniff_kind(path) == ("cloud" if cloud else "network")
+        assert sniff_kind(path) == ("cloud" if cloud else "network")
         (load_pointcloud if cloud else load_network)(path)
         with pytest.raises(ParseError):
             (load_network if cloud else load_pointcloud)(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=st.one_of(clouds(), networks()), data=st.data())
+def test_value_fault_is_reported_at_its_line(space, data):
+    # a copy of one entry with a value fault goes in after it, among blank lines
+    cloud = isinstance(space, PointCloud)
+    entries = (dumps_pointcloud if cloud else dumps_network)(space).splitlines()
+    k = data.draw(st.integers(0, len(entries) - 1))
+    if cloud:
+        row = entries[k].split(",")
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf"]))
+        fault = ",".join(row)
+    else:
+        u, v, w = entries[k].split()
+        fault = data.draw(st.sampled_from([
+            f"{u} {u} {w}", f"{u} {v} 0", f"{u} {v} -1.5", f"{u} {v} nan", f"{u} {v} inf",
+            f"{u} {v} {w}", f"{v} {u} 2.5",
+        ]))
+    entries.insert(k + 1, fault)
+    text = ""
+    for i, entry in enumerate(entries):
+        text += data.draw(st.sampled_from(["", "\n", " \t\n\n"]))
+        text += entry + "\n"
+        if i == k + 1:
+            fault_line = text.count("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        with pytest.raises(ParseError) as err:
+            (load_pointcloud if cloud else load_network)(path)
+    assert err.value.line_no == fault_line
 
 
 def test_magnitude_window_rule_is_the_libraries(tmp_path, capsys):
@@ -755,6 +825,9 @@ FUZZ_INPUTS = {
     "empty": "",
     "malformed-cloud": "0,0\n1,x\n",
     "malformed-network": "0 1 1\n1 2\n",
+    "duplicate-edge": "0 1 1.0\n1 2 1.0\n2 1 0.5\n",
+    "blank": "\n \t\n\n",
+    "underscore-id": "0 1 1\n1 1_000 1\n",
 }
 # the wide square is only read by a pinned example: a full default ph-dim schedule fits in it
 ALL_FUZZ_INPUTS = {**FUZZ_INPUTS, "wide-square": "".join(

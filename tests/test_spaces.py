@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import pdist, squareform
 
 from fracdim import (
+    InvalidEntryError,
     MetricView,
     PointCloud,
     ResourceLimitError,
@@ -484,3 +486,25 @@ class TestValidation:
     def test_network_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             WeightedNetwork(2, ((0, 2, 1.0),))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((2, 2, 1.0), "self-loop at node 2"),
+            ((2, 9, 1.0), "edge (2,9) outside node range"),
+            ((3, 2, 0.0), "edge (3,2) weight 0.0 is not in (0, inf)"),
+            ((2, 3, math.nan), "edge (2,3) weight nan is not in (0, inf)"),
+            ((2, 3, math.inf), "edge (2,3) weight inf is not in (0, inf)"),
+            ((1, 0, 2.0), "duplicate edge (0, 1)"),
+        ],
+        ids=["self-loop", "range", "zero", "nan", "inf", "reversed-duplicate"],
+    )
+    def test_network_names_its_first_bad_edge(self, bad, message):
+        with pytest.raises(InvalidEntryError, match=f"^{re.escape(message)}$") as err:
+            WeightedNetwork(4, ((0, 1, 1.0), (1, 2, 1.0), bad, (0, 0, 1.0)))
+        assert err.value.index == 2
+
+    def test_pointcloud_names_its_first_bad_row(self):
+        with pytest.raises(InvalidEntryError, match="^coordinates must be finite$") as err:
+            PointCloud(np.array([[0.0, 1.0], [2.0, 3.0], [4.0, np.inf], [np.nan, 0.0]]))
+        assert err.value.index == 2

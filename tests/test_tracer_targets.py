@@ -3,9 +3,12 @@
 `perfbench/tracer.py` wraps fracdim functions by module attribute and
 reads counts from what they return. A refactor that renames or unbinds
 one of them, or changes the shape of a traced result, would otherwise
-only show up when the benchmark runs with tracing on.
+only show up when the benchmark runs with tracing on. The other way
+round, an import that a module keeps only for the tracer ("unused here")
+must still be named by a target, or it is dead code.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -19,6 +22,7 @@ from fracdim import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src" / "fracdim"
 
 
 def import_tracer(monkeypatch):
@@ -36,6 +40,23 @@ def test_every_tracer_target_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fracdim.{module}"), attribute, None))
     ]
     assert missing == []
+
+
+def test_every_import_kept_for_the_tracer_is_a_target(monkeypatch):
+    # the marker sits on the import's first line (all its names) or on one name's line
+    tracer = import_tracer(monkeypatch)
+    targets = {(module, attribute) for module, attribute, *_ in tracer.TARGETS}
+    kept = set()
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                kept |= {
+                    (path.stem, alias.asname or alias.name) for alias in node.names
+                    if "unused here" in lines[node.lineno - 1] + lines[alias.lineno - 1]
+                }
+    assert kept  # the package keeps such imports today; an empty set means the scan broke
+    assert sorted(kept - targets) == []
 
 
 def test_complex_and_barcode_counters_read_real_results(monkeypatch):
