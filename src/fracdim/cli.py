@@ -225,8 +225,7 @@ def _ph_config(args):
         n_schedule=schedule,
         repeats=args.repeats,
         seed=args.seed,
-        fit_tail=min(estimators.PHDimensionConfig.fit_tail, len(schedule))
-        if args.fit_tail is None else args.fit_tail,  # an explicit tail is checked as given
+        fit_tail=args.fit_tail,
     )
 
 

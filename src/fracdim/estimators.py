@@ -93,14 +93,14 @@ def _window_bounds(window, count: int) -> tuple:
 
 
 def loglog_fit(xs, ys, window=None) -> LogLogFit:
-    """Ordinary least squares on (log xs, log ys) over a half-open index window."""
+    """Least squares on (log xs, log ys) over a half-open index window; checks only its samples."""
     xs = [float(x) for x in xs]
     ys = [float(y) for y in ys]
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
-    if not all(0 < v < math.inf for v in xs + ys):
-        raise ValueError("log-log fit requires finite positive inputs")
     lo, hi = _window_bounds(window, len(xs))
+    if not all(0 < v < math.inf for v in xs[lo:hi] + ys[lo:hi]):
+        raise ValueError("log-log fit requires finite positive inputs")
     wx, wy = np.log(xs[lo:hi]), np.log(ys[lo:hi])
     slope, intercept = np.polyfit(wx, wy, 1)
     resid = wy - (slope * wx + intercept)
@@ -118,29 +118,25 @@ def _geometric_grid(hi, lo, count=EPS_COUNT, decreasing=True):
     return [float(g) for g in grid]
 
 
-def _estimate(estimator, xs, ys, params, kept=None, value=None, lead=(), trail=()):
+def _estimate(estimator, xs, ys, params, value=None, trail=()):
     """The one place a DimensionEstimate is assembled.
 
     Fits log ys against log xs over params["window"] and records the fitted
-    window there. With `kept`, the fit reads only the samples at those
-    indices and params["window"] stays as given. `value` maps the fit to the
-    estimate (default: its slope). The low-fit-quality warning goes between
-    the `lead` and `trail` warnings. Every sample is kept as a point.
+    window there. `value` maps the fit to the estimate (default: its slope).
+    The low-fit-quality warning precedes the `trail` warnings. Every sample
+    is kept as a point.
     """
-    if kept is None:
-        fit = loglog_fit(xs, ys, params["window"])
-        params["window"] = list(fit.window)
-    else:
-        fit = loglog_fit([xs[k] for k in kept], [ys[k] for k in kept])
+    fit = loglog_fit(xs, ys, params["window"])
+    params["window"] = list(fit.window)
     if fit.r2 < R2_WARN_THRESHOLD:
-        lead = (*lead, f"low fit quality: r2={fit.r2:.3f} < {R2_WARN_THRESHOLD}")
+        trail = (f"low fit quality: r2={fit.r2:.3f} < {R2_WARN_THRESHOLD}", *trail)
     return DimensionEstimate(
         estimator,
         fit.slope if value is None else value(fit),
         fit,
         tuple(zip(map(float, xs), map(float, ys))),
         params,
-        (*lead, *trail),
+        tuple(trail),
     )
 
 
@@ -374,10 +370,12 @@ class PHDimensionConfig:
     n_schedule: tuple = tuple(range(5, 201, 5))
     repeats: int = 5
     seed: int = 42
-    fit_tail: int = 36
+    fit_tail: int | None = None  # None: the last min(36, len(n_schedule)) sizes
 
     def __post_init__(self):
         object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
+        if self.fit_tail is None:
+            object.__setattr__(self, "fit_tail", min(36, len(self.n_schedule)))
         if self.degree < 0:
             raise ValueError("degree must be non-negative")
         if not 0 < self.alpha < math.inf:
@@ -478,9 +476,7 @@ def ph_dimension(cloud: PointCloud, cfg: PHDimensionConfig) -> DimensionEstimate
         "degree >= 1 Rips PH dimension read about twice the reference"
         " at every sample size measured (n <= 350)",
     )
-    return _estimate(
-        "ph-dim", cfg.n_schedule, means, params, range(lo, count), dimension, trail=trail
-    )
+    return _estimate("ph-dim", cfg.n_schedule, means, params, dimension, trail)
 
 
 # ---------------------------------------------------------------------------
@@ -495,45 +491,39 @@ def _t_grid_and_window(t_grid, window):
     return t_grid, _window_bounds(window, len(t_grid))
 
 
+def _positive_in_window(t_grid, values, window):
+    """Raise at the first non-positive magnitude inside the window: its log is undefined."""
+    lo, hi = window
+    for t, value in zip(t_grid[lo:hi], values[lo:hi]):
+        if value <= 0.0:  # a real magnitude, e.g. beside a pole of t -> Mag(tX)
+            raise UndefinedDimensionError(f"magnitude {value:.6g} at t={t:g} is not positive")
+
+
 def magnitude_dimension(metric: MetricView, t_grid=None, window=None) -> DimensionEstimate:
     """Slope of log Mag(tX) against log t over the window."""
     t_grid, window = _t_grid_and_window(t_grid, window)
     samples = magnitude_function(metric, t_grid)
-    accepted = samples.accepted()
-    if not all(accepted):
-        bad = [t for t, ok in zip(samples.t_grid, accepted) if not ok]
-        worst = max(
-            (r for r, ok in zip(samples.residuals, accepted) if not ok),
-            default=math.inf,
-        )
-        raise SingularSimilarityError(bad[0], worst)
-    for t, value in zip(samples.t_grid, samples.values):  # every sample is a log-log point
-        if value <= 0.0:  # a real magnitude, e.g. beside a pole of t -> Mag(tX)
-            raise UndefinedDimensionError(f"magnitude {value:.6g} at t={t:g} is not positive")
+    rejected = [
+        (t, r) for t, r, ok in zip(samples.t_grid, samples.residuals, samples.accepted()) if not ok
+    ]
+    if rejected:
+        raise SingularSimilarityError(rejected[0][0], max(r for _, r in rejected))
+    _positive_in_window(t_grid, samples.values, window)
     params = {"t_grid": t_grid, "window": window, "n_points": metric.size}
     return _estimate("magnitude-dim", t_grid, samples.values, params)
 
 
 def alpha_magnitude_dimension(cloud: PointCloud, t_grid=None, window=None) -> DimensionEstimate:
-    """Slope of log alpha-magnitude of tX against log t.
+    """Slope of log alpha-magnitude of tX against log t over the window.
 
-    Barcodes to degree 1 are computed once and summed over the whole grid. Grid entries
-    where the signed sum is non-positive are excluded from the fit with
-    a warning.
+    Barcodes to degree 1 are computed once and summed over the whole grid.
     """
-    t_grid, (lo, hi) = _t_grid_and_window(t_grid, window)
+    t_grid, window = _t_grid_and_window(t_grid, window)
     barcodes = persistence(alpha_complex_2d(cloud), 1)
     values = persistent_magnitude_curve(barcodes, t_grid)
-    kept = [k for k in range(lo, hi) if values[k] > 0.0]
-    dropped = [t_grid[k] for k in range(lo, hi) if values[k] <= 0.0]
-    if len(kept) < 2:
-        raise UndefinedDimensionError(
-            "fewer than 2 positive alpha-magnitude values in the fit window"
-        )
-    params = {"t_grid": t_grid, "window": [lo, hi], "max_degree": 1, "n_points": cloud.n}
-    excluded = f"excluded {len(dropped)} non-positive magnitude values at t={dropped}"
-    lead = [excluded] if dropped else []
-    return _estimate("alpha-magnitude-dim", t_grid, values, params, kept, lead=lead)
+    _positive_in_window(t_grid, values, window)
+    params = {"t_grid": t_grid, "window": window, "max_degree": 1, "n_points": cloud.n}
+    return _estimate("alpha-magnitude-dim", t_grid, values, params)
 
 
 # ---------------------------------------------------------------------------

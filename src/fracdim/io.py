@@ -19,8 +19,14 @@ from .spaces import PointCloud, WeightedNetwork
 
 def _entries(path):
     """(line number, stripped line) of each non-blank line: one point or edge each."""
-    with open(path, "r", encoding="ascii") as fh:
-        yield from filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield from filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
+    except UnicodeDecodeError:  # the byte's line is found on this path only
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()  # splits where text mode does: \n, \r\n and \r
+        line_no = next((k for k, line in enumerate(lines, start=1) if not line.isascii()), 0)
+        raise ParseError(path, line_no, "non-ASCII byte") from None
 
 
 def _construct(path, space_type, *args):
@@ -56,7 +62,9 @@ def load_pointcloud(path) -> PointCloud:
             message = f"expected {len(rows[0])} coordinates, got {len(fields)}"
             raise ParseError(path, line_no, message)
         try:
-            rows.append([float(f) for f in fields])
+            if "_" in line:  # float() reads 1_0 as 10
+                raise ValueError(line)
+            rows.append(list(map(float, fields)))
         except ValueError:
             raise ParseError(path, line_no, f"invalid coordinate in {line!r}") from None
     if not rows:
@@ -91,6 +99,8 @@ def load_network(path) -> WeightedNetwork:
         if max_id >= 2**63 - 1:  # node_count = max id + 1 is an int64 too
             raise ParseError(path, line_no, "node ids must fit in int64")
         try:
+            if "_" in fields[2]:  # float() reads 1_0 as 10
+                raise ValueError(fields[2])
             w = float(fields[2])
         except ValueError:
             raise ParseError(path, line_no, f"invalid weight {fields[2]!r}") from None

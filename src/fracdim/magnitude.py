@@ -193,11 +193,10 @@ def _solve_in_buffers(dist, t, blocks, factor, scratch, ones):
 
 def magnitude(metric: MetricView) -> float:
     """Magnitude sum(ij) of the inverse similarity matrix."""
-    _check_finite(metric)
-    ((value, residual),) = _solve_curve(metric.dist, [1.0])
-    if not (residual <= RESIDUAL_TOL):
-        raise SingularSimilarityError(metric.scale, residual)
-    return value
+    samples = magnitude_function(metric, [1.0])
+    if not samples.accepted()[0]:
+        raise SingularSimilarityError(metric.scale, samples.residuals[0])
+    return samples.values[0]
 
 
 @dataclass(frozen=True)
@@ -216,14 +215,14 @@ class MagnitudeFunctionSamples:
             raise ValueError("grid, values and residuals must have equal length")
 
     def accepted(self) -> tuple:
-        return tuple(
-            math.isfinite(v) and r <= RESIDUAL_TOL
-            for v, r in zip(self.values, self.residuals)
-        )
+        return tuple(map(math.isfinite, self.values))
 
 
 def magnitude_function(metric: MetricView, t_grid) -> MagnitudeFunctionSamples:
-    """Magnitude of the rescaled space per grid entry; failures flagged, not raised."""
+    """Magnitude of the rescaled space per grid entry; failures flagged, not raised.
+
+    The one home of RESIDUAL_TOL: an entry whose solve misses it holds NaN.
+    """
     t_grid = scale_grid(t_grid, "t")
     _check_finite(metric)
     results = _solve_curve(metric.dist, t_grid)

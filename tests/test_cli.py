@@ -307,6 +307,17 @@ class TestEstimate:
         assert code == 2
         assert "bad.csv:2" in err
 
+    @pytest.mark.parametrize("text, message", [
+        (b"0,0\n0,1_0\n", "invalid coordinate in '0,1_0'"),
+        (b"0 1 1\n0 1 1_0\n", "invalid weight '1_0'"),
+        (b"0,0\n0,1\xc3\xa9\n", "non-ASCII byte"),
+    ])
+    def test_number_and_byte_faults_name_line_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.input"
+        path.write_bytes(text)
+        code, out, err = run_cli(["estimate", "box", "--input", str(path)], capsys)
+        assert (code, out, err) == (2, "", f"error: {path}:2: {message}\n")
+
     def test_undefined_dimension_exit3(self, tmp_path, capsys):
         # degree-1 sums of small uniform samples grow with beta near 1.44
         path = tmp_path / "uniform.csv"
@@ -828,6 +839,8 @@ FUZZ_INPUTS = {
     "duplicate-edge": "0 1 1.0\n1 2 1.0\n2 1 0.5\n",
     "blank": "\n \t\n\n",
     "underscore-id": "0 1 1\n1 1_000 1\n",
+    "underscore-number": "0,0\n0,1_0\n",
+    "non-ascii": "0,0\n0,1\u00e9\n",
 }
 # the wide square is only read by a pinned example: a full default ph-dim schedule fits in it
 ALL_FUZZ_INPUTS = {**FUZZ_INPUTS, "wide-square": "".join(
@@ -871,7 +884,7 @@ def fuzz_argv(draw):
        out=st.sampled_from([None, "file", "directory"]))
 def test_fuzzed_rows_exit_with_a_contract_code(tmp_path, argv, input_name, out):
     path = tmp_path / "input"
-    path.write_text(ALL_FUZZ_INPUTS[input_name], encoding="ascii")
+    path.write_text(ALL_FUZZ_INPUTS[input_name], encoding="utf-8")
     if argv[0] == "estimate":
         argv = [*argv, "--input", str(path)]
     if out is not None:

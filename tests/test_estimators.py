@@ -127,6 +127,12 @@ class TestLogLogFit:
         with pytest.raises(ValueError, match="finite positive inputs"):
             loglog_fit([1.0, 2.0, 3.0], [1.0, bad, 3.0])
 
+    def test_checks_only_the_samples_inside_its_window(self):
+        fit = loglog_fit([0.0, 1, 2, 4], [5, 1, 2, 4], window=(1, 4))
+        assert fit.slope == pytest.approx(1.0) and fit.window == (1, 4)
+        with pytest.raises(ValueError, match="finite positive inputs"):
+            loglog_fit([0.0, 1, 2, 4], [5, 1, 2, 4], window=(0, 4))
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             loglog_fit([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], window=(2, 3))
@@ -367,6 +373,15 @@ class TestPHDimension:
             PHDimensionConfig(degree=2, n_schedule=(3, 5), fit_tail=2)
         assert PHDimensionConfig(degree=2, n_schedule=(4, 5), fit_tail=2).n_schedule == (4, 5)
         assert PHDimensionConfig(degree=0, n_schedule=(1, 5), fit_tail=2).n_schedule == (1, 5)
+
+    def test_default_fit_tail_fits_the_schedule_as_the_cli_does(self):
+        from fracdim import cli
+
+        assert PHDimensionConfig().fit_tail == 36
+        cfg = PHDimensionConfig(n_schedule=range(5, 101, 5))
+        assert cfg.fit_tail == 20
+        argv = ["estimate", "ph-dim", "--input", "", "--n-max", "100"]
+        assert cli._ph_config(cli._build_parser().parse_args(argv)) == cfg
 
 
 class TestBoxCountingNetwork:
@@ -715,6 +730,12 @@ class TestMagnitudeDimension:
         assert str(err.value) == "magnitude -0.777262 at t=0.34 is not positive"
         assert magnitude_dimension(metric, [0.1, 0.2, 0.3]).value > 0
 
+    def test_non_positive_magnitude_outside_the_window_is_not_fitted(self):
+        k32 = WeightedNetwork(5, tuple((u, v, 1.0) for u in range(3) for v in (3, 4)))
+        est = magnitude_dimension(shortest_path_metric(k32), [0.1, 0.2, 0.3, 0.34], (0, 3))
+        assert est.fit.window == (0, 3) and est.value > 0
+        assert est.points[3] == (0.34, pytest.approx(-0.777262, abs=1e-6))
+
 
 @pytest.mark.parametrize("window", [(3, 4), (4, 4), (-1, 3), (8, 11)])
 def test_magnitude_estimators_reject_window_before_any_work(window):
@@ -789,18 +810,24 @@ class TestWarnings:
         assert est.fit.r2 < 0.9 and not est.params["has_internal_scaling_dimension"]
         assert [w.split(" ")[0] for w in est.warnings] == ["low", "per-node"]
 
-    def test_alpha_magnitude_excluded_warning_precedes_fit_warning(self, monkeypatch):
+    def test_alpha_magnitude_non_positive_value_in_window_is_undefined(self, monkeypatch):
         grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
         curve = [1.0, -2.0, 8.0, 0.0, 2.0, 30.0]
         monkeypatch.setattr(estimators, "persistent_magnitude_curve", lambda bars, t: curve)
+        with pytest.raises(UndefinedDimensionError, match="^magnitude -2 at t=2 is not positive$"):
+            alpha_magnitude_dimension(sierpinski_triangle(2), t_grid=grid)
+        # outside the window the same values are not fitted
+        est = alpha_magnitude_dimension(sierpinski_triangle(2), t_grid=grid, window=(4, 6))
+        assert est.fit == loglog_fit(grid, curve, (4, 6))
+
+    def test_alpha_magnitude_low_fit_warns_alone(self, monkeypatch):
+        grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        curve = [1.0, 20.0, 8.0, 0.5, 2.0, 30.0]
+        monkeypatch.setattr(estimators, "persistent_magnitude_curve", lambda bars, t: curve)
         est = alpha_magnitude_dimension(sierpinski_triangle(2), t_grid=grid)
         assert est.fit.r2 < 0.9
-        assert est.warnings == (
-            "excluded 2 non-positive magnitude values at t=[2.0, 4.0]",
-            f"low fit quality: r2={est.fit.r2:.3f} < 0.9",
-        )
-        # the fit reads the positive values alone, but every sample is a point
-        assert est.fit == loglog_fit([1.0, 3.0, 5.0, 6.0], [1.0, 8.0, 2.0, 30.0])
+        assert est.warnings == (f"low fit quality: r2={est.fit.r2:.3f} < 0.9",)
+        assert est.fit == loglog_fit(grid, curve)
         assert est.points == tuple(zip(grid, curve))
         assert est.params["window"] == [0, 6]
 
@@ -814,6 +841,25 @@ class TestWarnings:
             "degree >= 1 Rips PH dimension read about twice the reference"
             " at every sample size measured (n <= 350)",
         )
+
+
+@pytest.mark.parametrize("run", [
+    lambda: box_counting_pointcloud(sierpinski_triangle(4)),
+    lambda: box_counting_network(sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3))),
+    lambda: correlation_dimension(sierpinski_triangle(4)),
+    lambda: ph_dimension(
+        sierpinski_triangle(5), PHDimensionConfig(n_schedule=range(5, 101, 5), repeats=1)
+    ),
+    lambda: magnitude_dimension(euclidean_metric(sierpinski_triangle(3)), [1, 2, 4, 8], (1, 4)),
+    lambda: alpha_magnitude_dimension(sierpinski_triangle(4), [float(t) for t in range(1, 91)]),
+    lambda: internal_scaling_dimension(sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3))),
+    lambda: internal_scaling_dimension(sierpinski_tree(SierpinskiTreeParams(3, 0.5, 3)), node=0),
+], ids=["box", "network-box", "correlation", "ph-dim", "magnitude-dim",
+        "alpha-magnitude-dim", "internal-scaling", "internal-scaling-node"])
+def test_fit_window_is_the_recorded_window(run):
+    est = run()
+    assert est.fit.window == tuple(est.params["window"])
+    assert est.fit == loglog_fit(*zip(*est.points), est.fit.window)
 
 
 class TestDeterminism:

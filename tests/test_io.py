@@ -86,3 +86,28 @@ def test_network_rejects_non_integer_ids(tmp_path):
 def test_network_dump_format():
     net = WeightedNetwork(3, ((0, 1, 0.5), (1, 2, 1.0)))
     assert dumps_network(net) == "0 1 0.5\n1 2 1\n"
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_pointcloud, "0,0\n0,1_0\n", "invalid coordinate in '0,1_0'"),
+    (load_network, "0 1 1\n0 1 1_0\n", "invalid weight '1_0'"),
+])
+def test_underscore_in_a_number_is_refused(tmp_path, load, text, message):
+    path = tmp_path / "input"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("load, data", [
+    (load_pointcloud, b"0,0\n0,1\xc3\xa9\n"),
+    (load_network, b"0 1 1\r\n1 2 \xc3\r\n"),
+    (load_network, b"0 1 1\r1 2 \xc3\r"),
+])
+def test_non_ascii_byte_names_its_line(tmp_path, load, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    assert str(err.value) == f"{path}:2: non-ASCII byte"
